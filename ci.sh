@@ -24,11 +24,11 @@ cargo run -q -p oprc-bench --bin chaos_smoke -- target/trace_chaos.json
 echo "==> flow doctor smoke (optimizer diagnostics OPRC050-053 + pinned JSON shape)"
 cargo run -q -p oprc-bench --bin flow_doctor_smoke
 
-echo "==> invoke hot-path perf gate (seeded; warm ns/op vs baseline + retry allocation budget + warm_batch sweep: batch=64 per-op vs batch=1 and batch-path allocs/op)"
+echo "==> invoke hot-path gate (seeded; warm ns/op vs baseline + exact allocation budgets: warm invoke, per extra retry attempt, per batch=64 item + locks per batch)"
 cargo run -q --release -p oprc-bench --bin invoke_hotpath -- --quick --check
 
-echo "==> observability smoke (byte-stable profile/slo exports + windows overhead gate)"
-cargo run -q --release -p oprc-bench --bin obs_smoke -- --quick --check
+echo "==> observability smoke (byte-stable profile/slo exports)"
+cargo run -q --release -p oprc-bench --bin obs_smoke
 
 echo "==> invoke throughput gate (workers x shards sweep + 1/2/4/8-node locality sweep; core-count-aware speedup and locality-gain gates)"
 cargo run -q --release -p oprc-bench --bin invoke_throughput -- --quick --check

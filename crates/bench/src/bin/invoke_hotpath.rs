@@ -42,9 +42,13 @@
 //! - the retry storm is no longer O(attempts) in state-snapshot deep
 //!   clones: allocations per extra attempt (vs the single-attempt
 //!   control) must stay within `RETRY_EXTRA_ATTEMPT_ALLOC_BUDGET`;
-//! - the batch path amortizes: warm batch=64 per-item time must be at
-//!   least `BATCH_SPEEDUP_FLOOR`× better than batch=1, and batch=64
-//!   per-item allocations must stay within `BATCH64_ALLOC_BUDGET`.
+//! - a warm commit costs what its patch costs: `warm_invoke`
+//!   allocations must stay within `WARM_ALLOC_BUDGET` (a whole-state
+//!   copy at commit is ~600 on the benchmark state);
+//! - the batch path amortizes what is left to amortize: a one-object
+//!   batch takes exactly `BATCH_LOCKS` shard-lock acquisitions whatever
+//!   its size, and batch=64 per-item allocations must stay within
+//!   `BATCH64_ALLOC_BUDGET`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,15 +112,23 @@ const BASELINE_RETRY_STORM_ALLOCS_PER_OP: u64 = 5_935;
 /// exact for a fixed seed, so this gate is machine-independent.
 const RETRY_EXTRA_ATTEMPT_ALLOC_BUDGET: u64 = 160;
 
-/// `--check`: warm batch=64 per-item time must beat batch=1 by at
-/// least this factor — the single lock hold, merged commit, and
-/// arena-amortized state clone have to actually amortize.
-const BATCH_SPEEDUP_FLOOR: u64 = 3;
+/// `--check`: allocations of one warm invoke. The commit mutates the
+/// record in place under the shard lock, so the count tracks the task
+/// and the patch (11 at this change), not the 64-field state (604 with
+/// a copy per commit). Exact for a fixed seed, machine-independent.
+const WARM_ALLOC_BUDGET: u64 = 40;
 
-/// `--check`: per-item allocations at batch=64. The sequential warm
-/// path costs ~600 allocs/op (dominated by the copy-on-write state
-/// clone); the batch path pays that once per group and runs items out
-/// of the scratch arena, so per-item counts must stay in the tens.
+/// `--check`: shard-lock acquisitions of one single-object batch — the
+/// directory peek and the one execution hold — at every batch size.
+/// This and the allocation budget below replace the former "batch=64 is
+/// 3x faster per item than batch=1" timing floor: that floor measured
+/// the commit-time state copy being amortized over the group, and with
+/// the copy gone a batch of one costs what a direct invoke costs.
+const BATCH_LOCKS: u64 = 2;
+
+/// `--check`: per-item allocations at batch=64: items run out of the
+/// scratch arena and merge in place, so per-item counts stay in the
+/// tens.
 const BATCH64_ALLOC_BUDGET: u64 = 32;
 
 #[derive(Debug, Clone)]
@@ -388,8 +400,9 @@ fn unfused_chain_commits(ops: u64) -> u64 {
 /// The `invoke_batch` sweep case: `total_items` invocations on one hot
 /// object submitted in batches of `size`. Reported metrics are
 /// normalized per *item* (one item ≡ one `warm_invoke` op), so the
-/// sweep reads as "per-op cost at this batch size".
-fn run_warm_batch(total_items: u64, size: u64) -> CaseResult {
+/// sweep reads as "per-op cost at this batch size". Also returns the
+/// shard-lock acquisitions per batch (exact).
+fn run_warm_batch(total_items: u64, size: u64) -> (CaseResult, u64) {
     use oprc_platform::embedded::BatchItem;
     let case = match size {
         1 => "warm_batch_1",
@@ -408,18 +421,22 @@ fn run_warm_batch(total_items: u64, size: u64) -> CaseResult {
         }
     }
     let batches = (total_items / size).max(1);
+    let locks = || -> u64 { p.shard_stats().iter().map(|s| s.acquisitions).sum() };
+    let locks_before = locks();
     let raw = measure(case, batches, || {
         for r in p.invoke_batch(batch(size)) {
             r.expect("batch item succeeds");
         }
     });
-    CaseResult {
+    let per_item = CaseResult {
         case,
         ops: batches * size,
         ns_per_op: raw.ns_per_op / size,
         allocs_per_op: raw.allocs_per_op / size,
         bytes_per_op: raw.bytes_per_op / size,
-    }
+    };
+    // Rounded up, so a single extra acquisition anywhere fails the gate.
+    (per_item, (locks() - locks_before).div_ceil(batches))
 }
 
 fn run_dataflow(ops: u64) -> CaseResult {
@@ -456,8 +473,11 @@ fn main() {
         run_dataflow(df_ops),
         fused_case,
     ];
+    let mut batch_locks = Vec::new();
     for size in [1, 4, 16, 64] {
-        results.push(run_warm_batch(warm_ops, size));
+        let (case, locks) = run_warm_batch(warm_ops, size);
+        results.push(case);
+        batch_locks.push((size, locks));
     }
 
     for r in &results {
@@ -620,14 +640,22 @@ fn main() {
             3 * df_ops
         ));
     }
-    // Batch amortization gate: batch=64 must spread the lock hold,
-    // state clone, and commit widely enough to beat batch=1 per item.
-    if batch64.ns_per_op * BATCH_SPEEDUP_FLOOR > batch1.ns_per_op {
+    // O(patch) commit gate: a warm invoke must not copy the state.
+    if warm.allocs_per_op > WARM_ALLOC_BUDGET {
         failures.push(format!(
-            "warm batch=64 at {} ns/item is not {BATCH_SPEEDUP_FLOOR}x \
-             faster than batch=1 at {} ns/item",
-            batch64.ns_per_op, batch1.ns_per_op
+            "warm invoke costs {} allocs/op (budget {WARM_ALLOC_BUDGET}): \
+             the commit is copying the object state",
+            warm.allocs_per_op
         ));
+    }
+    // Batch lock gate: one peek and one hold per single-object batch.
+    for (size, locks) in &batch_locks {
+        if *locks != BATCH_LOCKS {
+            failures.push(format!(
+                "warm batch={size} took {locks} shard-lock acquisitions per batch \
+                 (expected {BATCH_LOCKS})"
+            ));
+        }
     }
     // Batch allocation gate: items run out of the per-batch scratch
     // arena, so per-item counts stay in the tens, not the hundreds.
@@ -641,10 +669,11 @@ fn main() {
 
     if failures.is_empty() {
         println!(
-            "invoke_hotpath: ok — warm {} ns/op ({warm_speedup:.2}x vs baseline), \
+            "invoke_hotpath: ok — warm {} ns/op ({warm_speedup:.2}x vs baseline, {} allocs/op), \
              {} allocs per extra retry attempt, \
              batch64 {} ns/item ({batch_speedup:.2}x vs batch=1, {} allocs/item)",
             warm.ns_per_op,
+            warm.allocs_per_op,
             storm
                 .allocs_per_op
                 .saturating_sub(single.allocs_per_op)

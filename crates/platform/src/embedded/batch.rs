@@ -42,13 +42,15 @@ use oprc_core::invocation::{InvocationTask, TaskResult};
 use oprc_core::object::{FileRef, ObjectId};
 use oprc_store::presign::Method;
 use oprc_telemetry::TraceContext;
-use oprc_value::{merge, vjson, Snapshot, Value};
+use oprc_value::{vjson, Snapshot, Value};
 
 use crate::PlatformError;
 
 use super::shard::{shard_index, Shard};
+use super::state::StateLayer;
 use super::{
-    bucket_name, is_retryable, storage_key, DispatchPlan, EmbeddedPlatform, FunctionImpl, PlanTable,
+    bucket_name, is_retryable, merge_patch, storage_key, DispatchPlan, EmbeddedPlatform,
+    FunctionImpl, PlanTable,
 };
 
 /// One invocation in an [`EmbeddedPlatform::invoke_batch`] call.
@@ -88,6 +90,7 @@ struct ResolvedItem<'a> {
 /// Per-batch scratch: the group runner's working set. Reset between
 /// groups with capacity retained, so steady-state items allocate close
 /// to nothing.
+#[derive(Default)]
 struct BatchArena {
     /// Running state per object touched by the current group, in
     /// first-touch order. Groups are small: linear scans beat maps.
@@ -96,24 +99,11 @@ struct BatchArena {
     /// strings keep their capacity across items, so a homogeneous
     /// group re-allocates none of them.
     task: Option<InvocationTask>,
-    /// A shared empty snapshot used to release the task shell's ref on
-    /// a running state before merging into it (a refcount bump, never
-    /// an allocation).
-    empty: Snapshot,
-}
-
-impl BatchArena {
-    fn new() -> Self {
-        BatchArena {
-            objects: Vec::new(),
-            task: None,
-            empty: Snapshot::object(),
-        }
-    }
 }
 
 /// One object's running state within a shard group: loaded on first
-/// touch, patched in place by each item targeting it, stored once at
+/// touch, re-pointed at the record after each item that patched it
+/// ([`apply_to_group`]), stored — counted and offered — once at
 /// group commit.
 struct GroupObject {
     id: ObjectId,
@@ -236,7 +226,7 @@ impl EmbeddedPlatform {
             TraceContext::NONE
         };
         let mut items = items;
-        let mut arena = BatchArena::new();
+        let mut arena = BatchArena::default();
         for ((_, sx), slots) in &groups {
             let group_span = if enabled {
                 let s = self
@@ -455,8 +445,9 @@ impl EmbeddedPlatform {
     /// Runs one item under the group's held shard lock, mirroring
     /// [`EmbeddedPlatform::invoke_with_retry`]'s policy semantics:
     /// breaker gate, bounded attempts with the same seeded backoff
-    /// stream, per-invocation deadline. State effects go to the arena's
-    /// running snapshot — the store is deferred to the group commit.
+    /// stream, per-invocation deadline. A patch is merged into the
+    /// record at once ([`apply_to_group`]) — the counted store is
+    /// deferred to the group commit.
     /// The committed-map/torn-ack machinery is not needed here: torn
     /// outcomes only exist under chaos, and chaos pins the batch to the
     /// sequential path.
@@ -499,11 +490,10 @@ impl EmbeddedPlatform {
                     // Release the task shell's ref on the running
                     // snapshot so the merge mutates it in place
                     // instead of deep-cloning.
-                    let empty = arena.empty.clone();
                     if let Some(task) = arena.task.as_mut() {
-                        task.state_in = empty;
+                        task.state_in = Snapshot::default();
                     }
-                    apply_to_group(&mut arena.objects[ox], &out);
+                    apply_to_group(&mut sh.state, &mut arena.objects[ox], &out);
                     self.breaker_settle(&r.class, function, &r.dispatch.breaker_key, true);
                     return Ok(out);
                 }
@@ -716,9 +706,8 @@ impl EmbeddedPlatform {
         }
         // The task shell survives for the next group, but must not pin
         // snapshots or arguments across it.
-        let empty = arena.empty.clone();
         if let Some(task) = arena.task.as_mut() {
-            task.state_in = empty;
+            task.state_in = Snapshot::default();
             task.args.clear();
             task.file_urls.clear();
         }
@@ -727,11 +716,20 @@ impl EmbeddedPlatform {
 
 /// Applies one successful result to the group's running object state
 /// (the deferred-store half of the sequential `apply_result`).
-fn apply_to_group(obj: &mut GroupObject, out: &TaskResult) {
+///
+/// The patch is merged into the record where it lives, per item: the
+/// arena hands its own handle to [`StateLayer::modify`], which copies
+/// only for handles the platform does not own (and continues from the
+/// arena's running state when the tiers hold no record), and the tiers
+/// are re-filled before the next item's function runs — a record is
+/// never checked out across user code. The counted store (and the
+/// revision bumps) stay in [`EmbeddedPlatform::commit_group`]; if a
+/// later function in the group panics, the patches already merged stay
+/// visible in memory without that store (DESIGN.md §11).
+fn apply_to_group(layer: &mut StateLayer, obj: &mut GroupObject, out: &TaskResult) {
     if let Some(patch) = &out.state_patch {
-        let state = obj.state.make_mut();
-        merge::deep_merge(state, patch.clone());
-        merge::normalize(state);
+        let held = std::mem::take(&mut obj.state);
+        obj.state = layer.modify(&obj.key, held, |state| merge_patch(state, patch));
         obj.dirty = true;
         obj.bumps += 1;
     }

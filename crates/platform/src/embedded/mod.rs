@@ -1343,9 +1343,8 @@ impl EmbeddedPlatform {
             } else {
                 TraceContext::NONE
             };
-            let last = attempt == policy.max_attempts.max(1);
             let result = self.run_attempt(
-                &mut sh, id, class, plan, dispatch, f, &args, parent, ikey, &mut task, last, hop,
+                &mut sh, id, class, plan, dispatch, f, &args, parent, ikey, &mut task, hop,
             );
             if !attempt_span.is_none() {
                 if let Err(e) = &result {
@@ -1355,10 +1354,10 @@ impl EmbeddedPlatform {
             }
             match result {
                 Ok(out) => {
-                    // Idempotency keys are globally unique, so the
-                    // committed record of a finished invocation can
-                    // never be consulted again — drop it to keep the
-                    // shard's map bounded.
+                    // A torn ack on an earlier attempt left a committed
+                    // record; keys are globally unique, so it can never
+                    // be consulted again — drop it to keep the shard's
+                    // map bounded.
                     sh.committed.remove(&ikey);
                     drop(sh);
                     self.breaker_settle(class, function, &dispatch.breaker_key, true);
@@ -1433,7 +1432,6 @@ impl EmbeddedPlatform {
         parent: TraceContext,
         ikey: u64,
         task: &mut Option<InvocationTask>,
-        last: bool,
         hop: &NodeHop,
     ) -> Result<TaskResult, PlatformError> {
         if task.is_none() {
@@ -1442,9 +1440,10 @@ impl EmbeddedPlatform {
             built.idempotency_key = ikey;
             *task = Some(built);
         }
-        // The final permitted attempt ships the task by value — nothing
-        // can re-ship it afterwards, so a clone would be dropped unused.
-        let task = if last { task.take() } else { task.clone() }.expect("just built");
+        // Every attempt executes the one saved task by reference: a
+        // re-ship costs nothing, and no attempt-local clone of
+        // `state_in` outlives the execution to force a copy at commit.
+        let task = task.as_mut().expect("just built");
         self.execute_and_apply(sh, id, class, plan.persists, f, task, hop)
     }
 
@@ -1737,7 +1736,7 @@ impl EmbeddedPlatform {
         class: &str,
         persists: bool,
         f: &FunctionImpl,
-        mut task: InvocationTask,
+        task: &mut InvocationTask,
         hop: &NodeHop,
     ) -> Result<TaskResult, PlatformError> {
         let parent = task.trace.unwrap_or(TraceContext::NONE);
@@ -1747,25 +1746,31 @@ impl EmbeddedPlatform {
         let offload_torn = self
             .chaos_fault(InjectionSite::OffloadRpc, parent)?
             .is_some();
-        let exec_span = self.begin_execute_span(&task, parent);
+        let exec_span = self.begin_execute_span(task, parent);
         let result = match self.chaos_gate(InjectionSite::EngineExecute, exec_span) {
-            Ok(()) => {
-                if hop.remote {
-                    // Function shipping across the node boundary: the
-                    // executing node materializes its own copy of the
-                    // object state, serialized on the owner's transport
-                    // channel — all remote traffic into one owner
-                    // contends here (the Fig. 3 mechanism). Patches
-                    // ship back inside the result; `apply_result`'s
-                    // patch clone is that return copy.
-                    let _transport = hop.owner_state.transport.lock();
-                    task.state_in = Snapshot::from(task.state_in.value().clone());
-                    f(&task).map_err(PlatformError::from)
-                } else {
-                    f(&task).map_err(PlatformError::from)
-                }
-            }
             Err(e) => Err(e),
+            Ok(()) if hop.remote => {
+                // Function shipping across the node boundary: the
+                // executing node materializes its own copy of the
+                // object state, serialized on the owner's transport
+                // channel — all remote traffic into one owner contends
+                // here (the Fig. 3 mechanism). This copy *is* the
+                // modelled transport cost, paid per attempt; the
+                // owner's handle goes back into the saved task for the
+                // commit (or a re-ship). Patches ship back inside the
+                // result; `apply_result`'s patch clone is that return
+                // copy.
+                let (out, _shipped) = {
+                    let _transport = hop.owner_state.transport.lock();
+                    let copy = Snapshot::from(task.state_in.value().clone());
+                    let home = std::mem::replace(&mut task.state_in, copy);
+                    let out = f(task).map_err(PlatformError::from);
+                    (out, std::mem::replace(&mut task.state_in, home))
+                };
+                // `_shipped` is freed here, off the transport.
+                out
+            }
+            Ok(()) => f(task).map_err(PlatformError::from),
         };
         if self.telemetry.is_enabled() {
             if let Err(e) = &result {
@@ -1788,6 +1793,7 @@ impl EmbeddedPlatform {
             &result,
             parent,
             task.idempotency_key,
+            Some(&mut task.state_in),
         )?;
         Ok(result)
     }
@@ -1808,6 +1814,15 @@ impl EmbeddedPlatform {
         span
     }
 
+    /// Commits `result` to object `id` under the held shard lock.
+    ///
+    /// `task_state` is the executed task's own handle on the state it
+    /// ran against, if the caller still holds one. It is released once
+    /// the invocation can no longer be re-executed with it — after the
+    /// fault decision, unless the ack is torn — so the merge below finds
+    /// the record unshared and mutates it in place. A torn commit keeps
+    /// the handle (the retry re-executes the saved task and must see the
+    /// same `state_in`) and pays one copy instead.
     #[allow(clippy::too_many_arguments)]
     fn apply_result(
         &self,
@@ -1818,6 +1833,7 @@ impl EmbeddedPlatform {
         result: &TaskResult,
         parent: TraceContext,
         ikey: u64,
+        task_state: Option<&mut Snapshot>,
     ) -> Result<(), PlatformError> {
         let now = self.now();
         let enabled = self.telemetry.is_enabled();
@@ -1863,19 +1879,22 @@ impl EmbeddedPlatform {
                 Some(entry) => Arc::clone(&entry.storage_key),
                 None => Arc::from(storage_key(class, id).as_str()),
             };
+            if let (false, Some(held)) = (torn, task_state) {
+                *held = Snapshot::default();
+            }
             let sink = self.telemetry.clone();
-            let mut state = sh
+            // The load re-warms a cold record (and is the commit's
+            // `kv.get`); `modify` takes its handle, so what is left are
+            // handles the platform does not own — an off-lock dataflow
+            // task, a captured `state_in`, the flushed durable version —
+            // and it copies for those alone.
+            let held = sh
                 .state
                 .load_traced(now, &key, &sink, commit_span)
                 .unwrap_or_else(Snapshot::object);
-            {
-                // Copy-on-write boundary: the payload is cloned here —
-                // and only here — if the snapshot is still shared with
-                // in-flight tasks or store tiers.
-                let state = state.make_mut();
-                merge::deep_merge(state, patch.clone());
-                merge::normalize(state);
-            }
+            let state = sh
+                .state
+                .modify(&key, held, |state| merge_patch(state, patch));
             sh.state
                 .store_traced(now, &key, state, persists, &sink, commit_span);
             if let Some(entry) = sh.objects.get_mut(&id) {
@@ -1898,7 +1917,11 @@ impl EmbeddedPlatform {
                 entry.revision += 1;
             }
         }
-        sh.committed.insert(ikey, result.clone());
+        if torn {
+            // Only a torn ack is ever looked up again: by the retry's
+            // double-commit guard and by the final-attempt recovery.
+            sh.committed.insert(ikey, result.clone());
+        }
         self.metrics.record_commit();
         if enabled {
             if torn {
@@ -2118,8 +2141,10 @@ impl EmbeddedPlatform {
                     self.telemetry.end(*span, self.now());
                 }
             }
-            // Apply effects deterministically in step order.
-            let ikeys: Vec<u64> = tasks.iter().map(|t| t.idempotency_key).collect();
+            // Apply effects deterministically in step order. The tasks
+            // go first: nothing re-executes them, and their `state_in`
+            // handles would force a copy at each commit.
+            let ikeys: Vec<u64> = tasks.into_iter().map(|t| t.idempotency_key).collect();
             for ((((step_id, result), (target_id, target_class, persists)), step_span), ikey) in
                 stage
                     .iter()
@@ -2129,21 +2154,16 @@ impl EmbeddedPlatform {
                     .zip(ikeys)
             {
                 let result = result?;
-                {
-                    let mut sh = self.shard(target_id).lock();
-                    self.apply_result(
-                        &mut sh,
-                        target_id,
-                        &target_class,
-                        persists,
-                        &result,
-                        step_span,
-                        ikey,
-                    )?;
-                    // The step finished — its commit record can never be
-                    // consulted again.
-                    sh.committed.remove(&ikey);
-                }
+                self.apply_result(
+                    &mut self.shard(target_id).lock(),
+                    target_id,
+                    &target_class,
+                    persists,
+                    &result,
+                    step_span,
+                    ikey,
+                    None,
+                )?;
                 outputs.insert(step_id.clone(), Snapshot::from(result.output));
                 self.telemetry.end(step_span, self.now());
             }
@@ -2314,8 +2334,10 @@ impl EmbeddedPlatform {
                     self.telemetry.end(*span, self.now());
                 }
             }
-            // Apply effects deterministically in step order.
-            let ikeys: Vec<u64> = tasks.iter().map(|t| t.idempotency_key).collect();
+            // Apply effects deterministically in step order. The tasks
+            // go first: nothing re-executes them, and their `state_in`
+            // handles would force a copy at each commit.
+            let ikeys: Vec<u64> = tasks.into_iter().map(|t| t.idempotency_key).collect();
             for ((((step_id, result), (target_id, target_class, persists)), step_span), ikey) in
                 step_ids
                     .iter()
@@ -2325,21 +2347,16 @@ impl EmbeddedPlatform {
                     .zip(ikeys)
             {
                 let result = result?;
-                {
-                    let mut sh = self.shard(target_id).lock();
-                    self.apply_result(
-                        &mut sh,
-                        target_id,
-                        &target_class,
-                        persists,
-                        &result,
-                        step_span,
-                        ikey,
-                    )?;
-                    // The step finished — its commit record can never be
-                    // consulted again.
-                    sh.committed.remove(&ikey);
-                }
+                self.apply_result(
+                    &mut self.shard(target_id).lock(),
+                    target_id,
+                    &target_class,
+                    persists,
+                    &result,
+                    step_span,
+                    ikey,
+                    None,
+                )?;
                 outputs.insert((*step_id).to_string(), Snapshot::from(result.output));
                 self.telemetry.end(step_span, self.now());
             }
@@ -2472,6 +2489,12 @@ impl EmbeddedPlatform {
             };
             let exec_span = self.begin_execute_span(&task, fused_span);
             let result = f(&task).map_err(PlatformError::from);
+            // The step's handle on the running state goes before its
+            // patch is merged, so the chain copies at most once: the
+            // first patch detaches `state` from the committed version
+            // (which stays untouched until the commit — a failing step
+            // aborts the whole chain), later ones merge in place.
+            drop(task);
             if enabled {
                 if let Err(e) = &result {
                     self.telemetry.attr(exec_span, "error", e.to_string());
@@ -2480,9 +2503,7 @@ impl EmbeddedPlatform {
             }
             let result = result?;
             if let Some(patch) = &result.state_patch {
-                let state = state.make_mut();
-                merge::deep_merge(state, patch.clone());
-                merge::normalize(state);
+                merge_patch(state.make_mut(), patch);
                 patched = true;
             }
             files_written.extend(
@@ -2848,6 +2869,14 @@ impl EmbeddedPlatform {
         }
         Ok(imported)
     }
+}
+
+/// The merge half of every commit: infallible and free of user code,
+/// so it may run while [`StateLayer::modify`] has a record's slots
+/// released.
+fn merge_patch(state: &mut Value, patch: &Value) {
+    merge::deep_merge(state, patch.clone());
+    merge::normalize(state);
 }
 
 /// Whether an invocation error is worth retrying: injected faults and

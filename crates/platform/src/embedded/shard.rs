@@ -47,9 +47,10 @@ pub(super) struct Shard {
     pub objects: BTreeMap<ObjectId, ObjectEntry>,
     /// This shard's tiered storage stack (its slice of the keyspace).
     pub state: StateLayer,
-    /// Results committed by in-flight invocations on this shard, by
-    /// idempotency key — the double-commit guard and torn-ack recovery
-    /// record. Entries are removed when their invocation finishes.
+    /// Results of commits whose ack was torn, by idempotency key — the
+    /// retry's double-commit guard and the final-attempt recovery
+    /// record. Empty unless chaos tears an ack; an entry is removed when
+    /// its invocation finishes.
     pub committed: BTreeMap<u64, TaskResult>,
 }
 

@@ -109,8 +109,9 @@ impl StateLayer {
         trace_get("dht", false);
         let from_db = self.db.get(key).filter(|v| !v.is_null());
         trace_get("db", from_db.is_some());
-        let from_db = Snapshot::from(from_db?);
-        // Re-warm the DHT (a refcount bump: the DHT shares the snapshot).
+        let from_db = from_db?;
+        // Re-warm the DHT (a refcount bump: the DHT shares the durable
+        // tier's snapshot until the next commit copies it).
         let _ = self.dht.put(key, from_db.clone());
         Some(from_db)
     }
@@ -158,6 +159,46 @@ impl StateLayer {
         if persist {
             self.buffer.offer(now, key, value);
         }
+    }
+
+    /// Mutates the record under `key` where it lives and returns a
+    /// handle to it: the merge half of a commit, at the cost of the
+    /// patch instead of the state.
+    ///
+    /// `&mut self` is the caller's shard lock, so nobody can read the
+    /// tiers meanwhile — that is the exclusivity. The layer releases its
+    /// own handles on the record (every DHT replica slot, the pending
+    /// write-behind entry) and takes the caller's (`held`, by value),
+    /// runs `f` on what is now the only handle through
+    /// [`Snapshot::make_mut`], and re-fills the same slots before it
+    /// returns. A handle nobody gave up — a task still holding its
+    /// `state_in`, the flushed version in the durable tier — makes
+    /// `make_mut` copy as it always has, so outsiders never see the
+    /// write; the first commit after a flush pays that copy once. `f`
+    /// must not fail or run user code: while it runs the slots hold a
+    /// placeholder.
+    ///
+    /// Not a `load` or a `store`: no counter, trace event or
+    /// write-behind offer moves, and no slot is created. A record the
+    /// DHT does not hold (a non-persistent or never-flushed object
+    /// after memory loss) continues from `held`, so the caller's running
+    /// state carries it until its [`StateLayer::store_traced`].
+    pub fn modify(&mut self, key: &str, held: Snapshot, f: impl FnOnce(&mut Value)) -> Snapshot {
+        let mut state = None;
+        self.dht.for_each_slot(key, |slot| {
+            let released = std::mem::take(slot);
+            state.get_or_insert(released);
+        });
+        if let Some(pending) = self.buffer.pending_mut(key) {
+            *pending = Snapshot::default();
+        }
+        let mut state = state.unwrap_or(held);
+        f(state.make_mut());
+        self.dht.for_each_slot(key, |slot| *slot = state.clone());
+        if let Some(pending) = self.buffer.pending_mut(key) {
+            *pending = state.clone();
+        }
+        state
     }
 
     /// Deletes a record everywhere.
@@ -222,7 +263,7 @@ impl StateLayer {
 
     /// Direct read from the durable tier (diagnostics/tests).
     pub fn durable_get(&self, key: &str) -> Option<Value> {
-        self.db.get(key)
+        self.db.get(key).map(|v| v.value().clone())
     }
 
     /// `(dht puts, buffer consolidated, db batch writes, db single
@@ -315,6 +356,98 @@ mod tests {
         }
         let (_, consolidated, _, _) = s.stats();
         assert_eq!(consolidated, 4);
+    }
+
+    fn set_n(n: i64) -> impl FnOnce(&mut Value) {
+        move |v| {
+            v.insert("n", n);
+        }
+    }
+
+    fn address(s: &mut StateLayer, key: &str) -> *const Value {
+        std::ptr::from_ref(s.load(key).unwrap().value())
+    }
+
+    #[test]
+    fn modify_is_in_place_when_only_the_tiers_hold_the_record() {
+        // Two replicas and a pending write-behind entry share the value.
+        let mut s = StateLayer::with_defaults();
+        s.store(SimTime::ZERO, "a", vjson!({"n": 0}), true);
+        s.store(SimTime::ZERO, "b", vjson!({"n": 0}), true);
+        let before = address(&mut s, "a");
+        let stats = s.stats();
+        let held = s.load("a").unwrap();
+        let gets = s.dht().gets();
+        let out = s.modify("a", held, set_n(1));
+        assert!(std::ptr::eq(before, out.value()), "no copy was needed");
+        // Not a load, a store or an offer.
+        assert_eq!((s.stats(), s.dht().gets()), (stats, gets));
+        drop(out);
+        // Every slot was re-filled with the one mutated allocation: the
+        // primary, the replica (read after the primary leaves), and the
+        // pending entry (read after a flush, in first-dirty order).
+        assert!(std::ptr::eq(before, address(&mut s, "a")));
+        let mut replica = s.dht().clone();
+        replica.leave(replica.primary("a").unwrap());
+        assert!(std::ptr::eq(before, replica.get("a").unwrap().value()));
+        let batch = s.buffer.drain(usize::MAX);
+        let keys: Vec<&str> = batch.records.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "b"]);
+        assert!(std::ptr::eq(before, batch.records[0].1.value()));
+        assert_eq!(batch.records[0].1["n"].as_i64(), Some(1));
+    }
+
+    #[test]
+    fn modify_copies_for_an_outside_handle_and_leaves_it_untouched() {
+        let mut s = StateLayer::with_defaults();
+        s.store(SimTime::ZERO, "k", vjson!({"n": 0}), true);
+        let outsider = s.load("k").unwrap();
+        let held = s.load("k").unwrap();
+        let out = s.modify("k", held, set_n(1));
+        assert!(!Snapshot::ptr_eq(&outsider, &out));
+        assert_eq!(outsider["n"].as_i64(), Some(0));
+        assert_eq!(s.load("k").unwrap()["n"].as_i64(), Some(1));
+    }
+
+    #[test]
+    fn modify_leaves_the_flushed_version_alone_until_the_next_flush() {
+        let mut s = StateLayer::with_defaults();
+        s.store(SimTime::ZERO, "k", vjson!({"n": 0}), true);
+        s.flush_all(SimTime::ZERO);
+        // The durable tier holds a handle now: the first commit of the
+        // window copies, the following ones mutate that copy in place.
+        let flushed = address(&mut s, "k");
+        let first = s.modify("k", Snapshot::object(), set_n(1));
+        assert!(!std::ptr::eq(flushed, first.value()));
+        s.store(SimTime::ZERO, "k", first, true);
+        let window = address(&mut s, "k");
+        let second = s.modify("k", Snapshot::object(), set_n(2));
+        assert!(std::ptr::eq(window, second.value()));
+        s.store(SimTime::ZERO, "k", second, true);
+        assert_eq!(s.durable_get("k").unwrap()["n"].as_i64(), Some(0));
+        s.flush_all(SimTime::ZERO);
+        assert_eq!(s.durable_get("k").unwrap()["n"].as_i64(), Some(2));
+    }
+
+    #[test]
+    fn modify_continues_from_the_held_handle_when_no_tier_has_the_record() {
+        // After memory loss on a never-flushed record only the caller's
+        // running state carries earlier patches: `modify` builds on it,
+        // in place, and creates no slot of its own.
+        let mut s = StateLayer::with_defaults();
+        let held = Snapshot::from(vjson!({"a": 1}));
+        let before = std::ptr::from_ref(held.value());
+        let stats = s.stats();
+        let out = s.modify("cold", held, set_n(7));
+        assert!(std::ptr::eq(before, out.value()));
+        assert_eq!(out, vjson!({"a": 1, "n": 7}));
+        assert_eq!(s.load("cold"), None);
+        assert_eq!(s.stats(), stats);
+        // A held handle that differs from the tiers' record (a shipped
+        // copy) is dropped: the record where it lives is the base.
+        s.store(SimTime::ZERO, "k", vjson!({"n": 0}), false);
+        let out = s.modify("k", Snapshot::from(vjson!({"stale": true})), set_n(1));
+        assert_eq!(out, vjson!({"n": 1}));
     }
 
     #[test]

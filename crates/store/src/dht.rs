@@ -307,10 +307,30 @@ impl Dht {
 
     fn put_internal(&mut self, key: &str, value: Snapshot) {
         for owner in self.owners(key) {
-            self.partitions
+            let partition = self
+                .partitions
                 .get_mut(&owner)
-                .expect("ring members have partitions")
-                .insert(key.to_string(), value.clone());
+                .expect("ring members have partitions");
+            // An overwrite reuses the slot; only a first insert
+            // allocates the key.
+            match partition.get_mut(key) {
+                Some(slot) => *slot = value.clone(),
+                None => {
+                    partition.insert(key.to_string(), value.clone());
+                }
+            }
+        }
+    }
+
+    /// Visits `key`'s slot on every replica member that holds it,
+    /// primary first, so a caller with exclusive access to the table
+    /// can release and re-fill the replicas' handles without touching
+    /// the maps. Counts as neither a `get` nor a `put`.
+    pub fn for_each_slot(&mut self, key: &str, mut f: impl FnMut(&mut Snapshot)) {
+        for owner in self.owners(key) {
+            if let Some(slot) = self.partitions.get_mut(&owner).and_then(|p| p.get_mut(key)) {
+                f(slot);
+            }
         }
     }
 
@@ -456,6 +476,21 @@ mod tests {
             assert!(Snapshot::ptr_eq(&primary_copy, &d.partitions[o]["key"]));
         }
         assert!(Snapshot::ptr_eq(&primary_copy, &d.get("key").unwrap()));
+    }
+
+    #[test]
+    fn slots_are_visited_primary_first_without_counting() {
+        let mut d = dht(4, 2);
+        d.put("key", vjson!(1)).unwrap();
+        let mut seen = 0;
+        d.for_each_slot("key", |slot| {
+            seen += 1;
+            *slot = Snapshot::from(vjson!(2));
+        });
+        assert_eq!(seen, 2);
+        assert_eq!(d.get("key").unwrap().as_i64(), Some(2));
+        d.for_each_slot("absent", |_| panic!("no slot to visit"));
+        assert_eq!((d.puts(), d.gets()), (1, 1));
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! **unstructured data** via S3-protocol object storage with **presigned
 //! URLs**. This crate implements all of those substrates:
 //!
-//! - [`KvStore`] — the storage interface (get/put/delete/scan) used by
-//!   the object runtime, with [`MemStore`] as the trivial implementation;
-//! - [`PersistentDb`] — a durable KV store whose *write admission* is
-//!   governed by a configurable write-ops budget (token bucket), the
-//!   bottleneck resource in Fig. 3;
+//! - [`PersistentDb`] — a durable KV store of state snapshots whose
+//!   *write admission* is governed by a configurable write-ops budget
+//!   (token bucket), the bottleneck resource in Fig. 3;
 //! - [`HashRing`] — consistent hashing with virtual nodes;
 //! - [`Dht`] — a partitioned, replicated in-memory hash table
 //!   (Oparaca's Infinispan stand-in) with deterministic rebalancing;
@@ -28,12 +26,13 @@
 //! # Examples
 //!
 //! ```
-//! use oprc_store::{KvStore, MemStore};
+//! use oprc_simcore::SimTime;
+//! use oprc_store::PersistentDb;
 //! use oprc_value::vjson;
 //!
-//! let mut store = MemStore::new();
-//! store.put("obj/1", vjson!({"width": 100}));
-//! assert_eq!(store.get("obj/1").unwrap()["width"].as_i64(), Some(100));
+//! let mut db = PersistentDb::default();
+//! db.put(SimTime::ZERO, "obj/1", vjson!({"width": 100}));
+//! assert_eq!(db.get("obj/1").unwrap()["width"].as_i64(), Some(100));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,7 +41,6 @@
 mod dht;
 mod error;
 mod hashring;
-mod kv;
 mod objectstore;
 mod partition;
 mod persistent;
@@ -55,7 +53,6 @@ pub mod sha;
 pub use dht::{Dht, DhtConfig, DhtNodeId, OwnerSet, MAX_INLINE_OWNERS};
 pub use error::StoreError;
 pub use hashring::HashRing;
-pub use kv::{KvStore, MemStore};
 pub use objectstore::{ObjectMeta, ObjectStore, StoredObject};
 pub use partition::{
     partition_of, MigrationPlan, PartitionAssignment, PartitionMap, PartitionMove,

@@ -12,11 +12,11 @@
 //! per-record increment — this is exactly the amortization that lets
 //! Oparaca's write-behind batching outrun the direct-write baseline.
 
+use std::collections::BTreeMap;
+
 use oprc_simcore::queueing::TokenBucket;
 use oprc_simcore::SimTime;
-use oprc_value::Value;
-
-use crate::{KvStore, MemStore};
+use oprc_value::Snapshot;
 
 /// Tunables for [`PersistentDb`].
 #[derive(Debug, Clone, PartialEq)]
@@ -57,6 +57,10 @@ pub struct DbStats {
 /// A durable KV store with write-throughput admission control.
 ///
 /// Reads are unconstrained (the evaluation workload is write-bound).
+/// Records are held as [`Snapshot`]s, so a write-behind flush *moves*
+/// its handles in and a cold read hands one out by refcount bump; a
+/// stored version is immutable — whoever writes the record next copies
+/// it first ([`Snapshot::make_mut`]) because this handle still exists.
 ///
 /// # Examples
 ///
@@ -79,7 +83,7 @@ pub struct DbStats {
 pub struct PersistentDb {
     cfg: PersistentDbConfig,
     bucket: TokenBucket,
-    data: MemStore,
+    data: BTreeMap<String, Snapshot>,
     stats: DbStats,
 }
 
@@ -90,7 +94,7 @@ impl PersistentDb {
         PersistentDb {
             cfg,
             bucket,
-            data: MemStore::new(),
+            data: BTreeMap::new(),
             stats: DbStats::default(),
         }
     }
@@ -105,9 +109,9 @@ impl PersistentDb {
         self.stats
     }
 
-    /// Reads a record (no admission cost).
-    pub fn get(&self, key: &str) -> Option<Value> {
-        self.data.get(key)
+    /// Reads a record (no admission cost, no copy).
+    pub fn get(&self, key: &str) -> Option<Snapshot> {
+        self.data.get(key).cloned()
     }
 
     /// Number of durable records.
@@ -122,9 +126,9 @@ impl PersistentDb {
 
     /// Writes one record at `now`, returning when it becomes durable
     /// under the write budget.
-    pub fn put(&mut self, now: SimTime, key: &str, value: impl Into<Value>) -> SimTime {
+    pub fn put(&mut self, now: SimTime, key: &str, value: impl Into<Snapshot>) -> SimTime {
         let durable_at = self.bucket.acquire(now, 1.0);
-        self.data.put(key, value.into());
+        self.data.insert(key.to_string(), value.into());
         self.stats.single_writes += 1;
         durable_at
     }
@@ -132,20 +136,18 @@ impl PersistentDb {
     /// Writes a batch of records as one consolidated operation,
     /// returning when the batch becomes durable.
     ///
-    /// An empty batch is free and durable immediately.
-    /// Records are accepted as anything convertible to [`Value`] —
-    /// in particular the write-behind buffer's [`oprc_value::Snapshot`]s,
-    /// which materialise here (the one unavoidable copy per flushed key,
-    /// off the invocation hot path, when the in-memory tier still shares
-    /// the snapshot).
-    pub fn put_batch<V: Into<Value>>(
+    /// An empty batch is free and durable immediately. Records are
+    /// accepted as anything convertible to [`Snapshot`]; the write-behind
+    /// buffer's own snapshots move in as they are, keys included, so a
+    /// flush costs no copy however large the records.
+    pub fn put_batch<V: Into<Snapshot>>(
         &mut self,
         now: SimTime,
         records: impl IntoIterator<Item = (String, V)>,
     ) -> SimTime {
         let mut n = 0u64;
         for (k, v) in records {
-            self.data.put(&k, v.into());
+            self.data.insert(k, v.into());
             n += 1;
         }
         if n == 0 {
@@ -156,11 +158,6 @@ impl PersistentDb {
         self.stats.batch_writes += 1;
         self.stats.batch_records += n;
         durable_at
-    }
-
-    /// Records with keys starting with `prefix`, in key order.
-    pub fn scan_prefix(&self, prefix: &str) -> Vec<(String, Value)> {
-        self.data.scan_prefix(prefix)
     }
 }
 
@@ -173,7 +170,7 @@ impl Default for PersistentDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oprc_value::vjson;
+    use oprc_value::{vjson, Value};
 
     fn db(rate: f64, burst: f64, per_record: f64) -> PersistentDb {
         PersistentDb::new(PersistentDbConfig {
@@ -246,11 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_prefix_delegates() {
+    fn batches_move_handles_and_reads_share_them() {
         let mut d = PersistentDb::default();
-        d.put(SimTime::ZERO, "a/1", vjson!(1));
-        d.put(SimTime::ZERO, "a/2", vjson!(2));
-        d.put(SimTime::ZERO, "b/1", vjson!(3));
-        assert_eq!(d.scan_prefix("a/").len(), 2);
+        let snap = Snapshot::from(vjson!({"big": [1, 2, 3]}));
+        d.put_batch(SimTime::ZERO, vec![("k".to_string(), snap.clone())]);
+        assert!(Snapshot::ptr_eq(&snap, &d.get("k").unwrap()));
     }
 }

@@ -133,11 +133,22 @@ impl WriteBehindBuffer {
     /// Buffers an update for `key` at `now`.
     pub fn offer(&mut self, now: SimTime, key: &str, value: impl Into<Snapshot>) {
         self.offers += 1;
-        if self.pending.insert(key.to_string(), value.into()).is_some() {
+        // Consolidation reuses the pending slot; only a first-dirty
+        // offer allocates the key.
+        if let Some(slot) = self.pending.get_mut(key) {
+            *slot = value.into();
             self.consolidated += 1;
         } else {
+            self.pending.insert(key.to_string(), value.into());
             self.order.push_back((key.to_string(), now));
         }
+    }
+
+    /// The pending value of `key`, if it is dirty: lets a caller with
+    /// exclusive access release and re-fill the buffer's handle in
+    /// place. Not an offer — counters and first-dirty order do not move.
+    pub fn pending_mut(&mut self, key: &str) -> Option<&mut Snapshot> {
+        self.pending.get_mut(key)
     }
 
     /// When the next flush is due, if anything is pending: the earlier of
@@ -317,6 +328,23 @@ mod tests {
         b.offer(SimTime::ZERO, "k", snap.clone());
         let batch = b.drain(10);
         assert!(Snapshot::ptr_eq(&snap, &batch.records[0].1));
+    }
+
+    #[test]
+    fn pending_mut_is_not_an_offer() {
+        let mut b = buf(10, 0);
+        b.offer(SimTime::from_millis(1), "x", vjson!(1));
+        b.offer(SimTime::from_millis(2), "y", vjson!(2));
+        *b.pending_mut("x").unwrap() = Snapshot::from(vjson!(9));
+        assert!(b.pending_mut("clean").is_none());
+        assert_eq!((b.offers(), b.consolidated(), b.pending_len()), (2, 0, 2));
+        let batch = b.drain(10);
+        assert_eq!(
+            batch.records[0],
+            ("x".to_string(), Snapshot::from(vjson!(9)))
+        );
+        assert_eq!(batch.records[1].0, "y");
+        assert_eq!(batch.oldest, SimTime::from_millis(1));
     }
 
     #[test]

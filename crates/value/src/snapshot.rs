@@ -2,12 +2,15 @@
 //!
 //! [`Snapshot`] wraps a [`Value`] in an [`Arc`] so a state snapshot can
 //! be shared — across retry attempts of an [`InvocationTask`], between
-//! the DHT's replica partitions, through the write-behind buffer, and
-//! into parallel dataflow stages — for the cost of a refcount bump
-//! instead of a deep clone. Mutation goes through [`Snapshot::make_mut`]
-//! (clone-on-write via [`Arc::make_mut`]), so holders of other handles
-//! never observe the change: a snapshot is observationally identical to
-//! a deep clone, just cheaper while nobody writes.
+//! the DHT's replica partitions, through the write-behind buffer into
+//! the durable tier, and into parallel dataflow stages — for the cost
+//! of a refcount bump instead of a deep clone. Mutation goes through
+//! [`Snapshot::make_mut`] (clone-on-write via [`Arc::make_mut`]), so
+//! holders of other handles never observe the change: a snapshot is
+//! observationally identical to a deep clone, just cheaper while nobody
+//! writes — and a writer that first drops every handle it owns itself
+//! writes in place, which is how the platform commits a patch at the
+//! cost of the patch (DESIGN.md §11).
 //!
 //! [`InvocationTask`]: https://docs.rs/oprc-core
 //!
@@ -28,7 +31,7 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use crate::Value;
 
@@ -38,8 +41,18 @@ use crate::Value;
 /// and all `&self` methods of [`Value`] work directly on a snapshot.
 /// Writes go through [`Snapshot::make_mut`], which clones the inner
 /// value first if (and only if) other handles still share it.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Snapshot(Arc<Value>);
+
+impl Default for Snapshot {
+    /// The shared `Null` snapshot: a refcount bump on one static
+    /// allocation, never a new one — cheap enough to stand in for a
+    /// handle that is being released on a hot path.
+    fn default() -> Self {
+        static NULL: LazyLock<Snapshot> = LazyLock::new(|| Snapshot::new(Value::Null));
+        NULL.clone()
+    }
+}
 
 impl Snapshot {
     /// Wraps a value in a new snapshot.
@@ -187,6 +200,15 @@ mod tests {
         assert_eq!(snap, vjson!({"a": 1}));
         assert_eq!(vjson!({"a": 1}), snap);
         assert_eq!(snap.to_string(), vjson!({"a": 1}).to_string());
+        assert_eq!(Snapshot::default(), Value::Null);
+    }
+
+    #[test]
+    fn default_is_one_shared_allocation() {
+        assert!(Snapshot::ptr_eq(&Snapshot::default(), &Snapshot::default()));
+        // Writing through a default handle detaches it like any other.
+        let mut d = Snapshot::default();
+        *d.make_mut() = vjson!(1);
         assert_eq!(Snapshot::default(), Value::Null);
     }
 }

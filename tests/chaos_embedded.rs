@@ -6,7 +6,7 @@
 use oprc_chaos::{FaultKind, FaultPlan, InjectionSite};
 use oprc_core::invocation::TaskResult;
 use oprc_core::object::ObjectId;
-use oprc_platform::embedded::EmbeddedPlatform;
+use oprc_platform::embedded::{BatchItem, EmbeddedPlatform};
 use oprc_simcore::SimDuration;
 use oprc_value::{merge, vjson, Value};
 use proptest::prelude::*;
@@ -16,6 +16,8 @@ enum Op {
     Create(u8),
     Incr(u16),
     Put(u16, u16, i32),
+    /// One `invoke_batch` of `incr` (`None`) and `put` items.
+    Batch(Vec<(u16, Option<(u16, i32)>)>),
     Read(u16),
     Flush,
     MemoryLoss,
@@ -33,6 +35,12 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             any::<u8>().prop_map(Op::Create),
             any::<u16>().prop_map(Op::Incr),
             (any::<u16>(), any::<u16>(), any::<i32>()).prop_map(|(o, k, v)| Op::Put(o, k, v)),
+            prop::collection::vec(
+                (any::<u16>(), any::<bool>(), any::<u16>(), any::<i32>())
+                    .prop_map(|(o, put, k, v)| (o, put.then_some((k, v)))),
+                1..8,
+            )
+            .prop_map(Op::Batch),
             any::<u16>().prop_map(Op::Read),
             Just(Op::Flush),
             Just(Op::MemoryLoss),
@@ -45,7 +53,11 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn platform() -> EmbeddedPlatform {
+/// `chaos` arms the injector (with an empty plan: nothing fires until an
+/// `Op::InjectFault` scripts a fault). Armed, batches take the pinned
+/// sequential path; unarmed, they take the grouped path and its
+/// per-item in-place merges, and scripted faults are inert.
+fn platform(chaos: bool) -> EmbeddedPlatform {
     let mut p = EmbeddedPlatform::new();
     p.register_function("img/incr", |t| {
         let n = t.state_in["count"].as_i64().unwrap_or(0) + 1;
@@ -79,10 +91,16 @@ classes:
 ",
     )
     .unwrap();
-    // Chaos on with an empty plan: nothing fires until an
-    // `Op::InjectFault` scripts a fault.
-    p.enable_chaos(FaultPlan::new(0));
+    if chaos {
+        p.enable_chaos(FaultPlan::new(0));
+    }
     p
+}
+
+fn put_args(k: u16, v: i32) -> (String, Vec<Value>) {
+    let key = format!("k{}", k % 6);
+    let args = vec![Value::from(key.as_str()), Value::from(i64::from(v))];
+    (key, args)
 }
 
 fn pick_site(s: u8) -> InjectionSite {
@@ -101,11 +119,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A shadow model (plain map of expected state) stays consistent
-    /// with the platform through creates, writes, flushes, memory
-    /// wipes, ticks, and snapshot round-trips.
+    /// with the platform through creates, direct and batched writes,
+    /// flushes, memory wipes, ticks, and snapshot round-trips — so a
+    /// commit that mutated a record some other tier or version still
+    /// relied on (the flushed durable copy, a re-warmed cold read)
+    /// shows up as a divergence.
     #[test]
-    fn platform_matches_shadow_model(ops in arb_ops()) {
-        let mut p = platform();
+    fn platform_matches_shadow_model(chaos in any::<bool>(), ops in arb_ops()) {
+        let mut p = platform(chaos);
         let mut shadow: Vec<(ObjectId, Value)> = Vec::new();
         for op in ops {
             match op {
@@ -135,12 +156,40 @@ proptest! {
                     if !shadow.is_empty() {
                         let idx = x as usize % shadow.len();
                         let (id, expect) = &mut shadow[idx];
-                        let key = format!("k{}", k % 6);
-                        if p
-                            .invoke(*id, "put", vec![Value::from(key.as_str()), Value::from(v as i64)])
-                            .is_ok()
-                        {
-                            expect.insert(key, v as i64);
+                        let (key, args) = put_args(k, v);
+                        if p.invoke(*id, "put", args).is_ok() {
+                            expect.insert(key, i64::from(v));
+                        }
+                    }
+                }
+                Op::Batch(calls) => {
+                    if !shadow.is_empty() {
+                        let items = calls
+                            .iter()
+                            .map(|&(x, put)| {
+                                let id = shadow[x as usize % shadow.len()].0;
+                                match put {
+                                    None => BatchItem::new(id, "incr", vec![]),
+                                    Some((k, v)) => BatchItem::new(id, "put", put_args(k, v).1),
+                                }
+                            })
+                            .collect();
+                        // Items apply in submission order; the shadow
+                        // advances on each success.
+                        for (&(x, put), out) in calls.iter().zip(p.invoke_batch(items)) {
+                            let idx = x as usize % shadow.len();
+                            let expect = &mut shadow[idx].1;
+                            let Ok(out) = out else { continue };
+                            match put {
+                                None => {
+                                    let n = expect["count"].as_i64().unwrap_or(0) + 1;
+                                    prop_assert_eq!(out.output.as_i64(), Some(n));
+                                    expect.insert("count", n);
+                                }
+                                Some((k, v)) => {
+                                    expect.insert(put_args(k, v).0, i64::from(v));
+                                }
+                            }
                         }
                     }
                 }
@@ -155,6 +204,11 @@ proptest! {
                 }
                 Op::Flush => {
                     p.flush();
+                    for (id, expect) in &shadow {
+                        let mut want = expect.clone();
+                        merge::normalize(&mut want);
+                        prop_assert_eq!(p.durable_state(*id), Some(want), "durable {}", id);
+                    }
                 }
                 Op::MemoryLoss => {
                     // Only safe (state-preserving) after a flush — do
@@ -170,7 +224,7 @@ proptest! {
                     // there (a migration mid-chaos). Armed faults and
                     // breaker state do not migrate.
                     let snap = p.export_snapshot(false);
-                    let fresh = platform();
+                    let fresh = platform(chaos);
                     fresh.import_snapshot(&snap).unwrap();
                     p = fresh;
                 }
@@ -199,7 +253,7 @@ proptest! {
     fn retried_incr_never_double_applies(faults in prop::collection::vec(
         (any::<u8>(), any::<u8>()), 1..40,
     )) {
-        let p = platform();
+        let p = platform(true);
         let id = p.create_object("Bag", vjson!({"count": 0})).unwrap();
         let mut succeeded = 0_i64;
         for (s, k) in faults {

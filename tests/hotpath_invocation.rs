@@ -9,8 +9,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use oprc_core::invocation::TaskResult;
-use oprc_platform::embedded::EmbeddedPlatform;
+use oprc_chaos::{FaultKind, FaultPlan, InjectionSite};
+use oprc_core::invocation::{TaskError, TaskResult};
+use oprc_core::object::ObjectId;
+use oprc_platform::embedded::{BatchItem, EmbeddedPlatform};
 use oprc_value::{merge, vjson, Snapshot, Value};
 use proptest::prelude::*;
 
@@ -141,39 +143,186 @@ classes:
     );
 }
 
-/// A committed state patch never mutates the snapshot an in-flight (or
-/// captured) task still holds: the commit boundary copies on write.
-#[test]
-fn committed_state_does_not_alias_task_snapshot() {
+/// A platform whose `incr` captures every `state_in` it is handed (a
+/// refcount bump — exactly what a still-in-flight shipment would hold)
+/// and whose `chain` dataflow is a same-object `incr → incr → last`
+/// chain the flow compiler fuses into one unit. `qos` is spliced into
+/// the class definition.
+fn capturing_platform(qos: &str, last: &str) -> (EmbeddedPlatform, Arc<Mutex<Vec<Snapshot>>>) {
     let captured: Arc<Mutex<Vec<Snapshot>>> = Arc::new(Mutex::new(Vec::new()));
     let cap = Arc::clone(&captured);
     let mut p = EmbeddedPlatform::new();
     p.register_function("img/incr", move |task| {
-        // Capturing the snapshot is a refcount bump — exactly what a
-        // still-in-flight retry shipment would hold.
         cap.lock().unwrap().push(task.state_in.clone());
         let n = task.state_in["count"].as_i64().unwrap_or(0) + 1;
         Ok(TaskResult::output(n).with_patch(vjson!({"count": n})))
     });
+    p.register_function("img/boom", |_| Err(TaskError::Application("boom".into())));
+    p.deploy_yaml(&format!(
+        "
+classes:
+  - name: K
+{qos}    keySpecs: [count]
+    functions:
+      - name: incr
+        image: img/incr
+      - name: boom
+        image: img/boom
+    dataflows:
+      - name: chain
+        output: c
+        steps:
+          - id: a
+            function: incr
+            inputs: [input]
+          - id: b
+            function: incr
+            inputs: [\"step:a\"]
+          - id: c
+            function: {last}
+            inputs: [\"step:b\"]
+"
+    ))
+    .unwrap();
+    (p, captured)
+}
+
+const RETRYING: &str = "    qos:\n      availability: 0.99\n";
+
+/// A committed state patch never mutates the snapshot an in-flight (or
+/// captured) task still holds: commits mutate the record in place only
+/// while the platform's own tiers are its sole holders, and copy on
+/// write for everybody else — on the direct path, the grouped batch
+/// path, a fused chain and under a multi-attempt retry policy alike.
+#[test]
+fn committed_state_does_not_alias_task_snapshot() {
+    type Drive = fn(&EmbeddedPlatform, ObjectId);
+    let thrice: Drive = |p, id| {
+        for expect in 1..=3 {
+            let out = p.invoke(id, "incr", vec![]).unwrap();
+            assert_eq!(out.output.as_i64(), Some(expect));
+        }
+    };
+    let batch: Drive = |p, id| {
+        let items = (0..3).map(|_| BatchItem::new(id, "incr", vec![])).collect();
+        for (out, expect) in p.invoke_batch(items).into_iter().zip(1..) {
+            assert_eq!(out.unwrap().output.as_i64(), Some(expect));
+        }
+    };
+    let chain: Drive = |p, id| {
+        assert_eq!(
+            p.invoke(id, "chain", vec![]).unwrap().output.as_i64(),
+            Some(3)
+        );
+        assert_eq!(p.metrics().fused_units_total(), 1, "the chain ran fused");
+    };
+    for (path, qos, drive) in [
+        ("invoke", "", thrice),
+        ("invoke_batch", "", batch),
+        ("fused chain", "", chain),
+        ("max_attempts > 1", RETRYING, thrice),
+    ] {
+        let (p, captured) = capturing_platform(qos, "incr");
+        let id = p.create_object("K", vjson!({"count": 0})).unwrap();
+        drive(&p, id);
+        assert_eq!(
+            p.get_state(id).unwrap()["count"].as_i64(),
+            Some(3),
+            "{path}"
+        );
+        // Every captured snapshot still shows the state *its* execution
+        // saw; no commit wrote through a handle somebody else held.
+        let snaps = captured.lock().unwrap();
+        let seen: Vec<_> = snaps.iter().map(|s| s["count"].as_i64()).collect();
+        assert_eq!(seen, [Some(0), Some(1), Some(2)], "{path}");
+    }
+}
+
+/// A torn `state.commit` keeps the saved task's `state_in`: the retry
+/// re-executes on the state the first execution saw (not on its own
+/// commit), returns the same output, and the patch lands once.
+#[test]
+fn torn_commit_reexecutes_on_the_same_state() {
+    let (mut p, captured) = capturing_platform(RETRYING, "incr");
+    p.enable_chaos(FaultPlan::new(0).script(InjectionSite::StateCommit, 0, FaultKind::Torn));
+    let id = p.create_object("K", vjson!({"count": 0})).unwrap();
+    assert_eq!(
+        p.invoke(id, "incr", vec![]).unwrap().output.as_i64(),
+        Some(1)
+    );
+    assert_eq!(
+        p.invoke(id, "incr", vec![]).unwrap().output.as_i64(),
+        Some(2)
+    );
+    assert_eq!(p.get_state(id).unwrap()["count"].as_i64(), Some(2));
+    assert_eq!(p.metrics().commits_total(), 2);
+    let snaps = captured.lock().unwrap();
+    let seen: Vec<_> = snaps.iter().map(|s| s["count"].as_i64()).collect();
+    assert_eq!(seen, [Some(0), Some(0), Some(1)], "torn, re-executed, next");
+}
+
+/// A fused chain commits all of its steps or none: a failing step leaves
+/// the stored state, the commit count and the storage counters as they
+/// were, although earlier steps had already patched the running state.
+#[test]
+fn failing_fused_step_leaves_state_untouched() {
+    let (p, captured) = capturing_platform("", "boom");
+    let id = p.create_object("K", vjson!({"count": 0})).unwrap();
+    let (commits, storage) = (p.metrics().commits_total(), p.storage_stats());
+    assert!(p.invoke(id, "chain", vec![]).is_err());
+    assert_eq!(captured.lock().unwrap().len(), 2, "a and b ran");
+    assert_eq!(p.get_state(id).unwrap(), vjson!({"count": 0}));
+    assert_eq!(p.metrics().commits_total(), commits);
+    assert_eq!(p.storage_stats(), storage);
+}
+
+/// A record no tier holds (memory loss before the first flush) is
+/// carried by the caller's running state until the commit stores it:
+/// patches to distinct keys accumulate, whether the items go one by one
+/// or as one grouped batch, and every item sees its predecessors'.
+#[test]
+fn cold_record_accumulates_patches_across_a_batch_group() {
+    let mut p = EmbeddedPlatform::new();
+    p.register_function("img/put", |task| {
+        let seen = task.state_in.len() as i64;
+        let mut patch = vjson!({});
+        patch.insert(task.args[0].as_str().unwrap(), 1);
+        Ok(TaskResult::output(seen).with_patch(patch))
+    });
     p.deploy_yaml(
-        "classes:\n  - name: K\n    keySpecs: [count]\n    functions:\n      - name: incr\n        image: img/incr\n",
+        "classes:\n  - name: Doc\n    functions:\n      - name: put\n        image: img/put\n",
     )
     .unwrap();
-    let id = p.create_object("K", vjson!({"count": 0})).unwrap();
-    for expect in 1..=3 {
-        let out = p.invoke(id, "incr", vec![]).unwrap();
-        assert_eq!(out.output.as_i64(), Some(expect));
-    }
-    assert_eq!(p.get_state(id).unwrap()["count"].as_i64(), Some(3));
-    // Every captured snapshot still shows the state *its* invocation
-    // saw; commits copied instead of writing through the shared Arc.
-    let snaps = captured.lock().unwrap();
-    for (i, snap) in snaps.iter().enumerate() {
+    for batched in [false, true] {
+        let id = p.create_object("Doc", vjson!({"old": 1})).unwrap();
+        p.simulate_memory_loss();
+        let items: Vec<_> = ["a", "b", "c"]
+            .map(|k| BatchItem::new(id, "put", vec![k.into()]))
+            .into();
+        let seen: Vec<_> = if batched {
+            p.invoke_batch(items)
+                .into_iter()
+                .map(|out| out.unwrap().output.as_i64())
+                .collect()
+        } else {
+            items
+                .into_iter()
+                .map(|it| {
+                    p.invoke(it.id, &it.function, it.args)
+                        .unwrap()
+                        .output
+                        .as_i64()
+                })
+                .collect()
+        };
+        assert_eq!(seen, [Some(0), Some(1), Some(2)], "batched: {batched}");
         assert_eq!(
-            snap["count"].as_i64(),
-            Some(i as i64),
-            "commit mutated a snapshot held by invocation {i}"
+            p.get_state(id).unwrap(),
+            vjson!({"a": 1, "b": 1, "c": 1}),
+            "batched: {batched}"
         );
+        p.flush();
+        assert_eq!(p.durable_state(id), p.get_state(id).ok());
     }
 }
 
