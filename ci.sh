@@ -36,4 +36,7 @@ cargo run -q --release -p oprc-bench --bin invoke_throughput -- --quick --check
 echo "==> scenario soak gate (Zipf/flash-crowd/multi-tenant invariants + fairness comparisons)"
 cargo run -q --release -p oprc-bench --bin scenario_soak -- --quick --check
 
+echo "==> benchmark unit tests (its own package: a smoke pass of all six workloads with their oracles on)"
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+
 echo "==> CI green"

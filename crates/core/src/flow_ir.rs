@@ -224,8 +224,9 @@ impl Default for PassConfig {
 }
 
 impl PassConfig {
-    /// Disables every rewrite: the program mirrors the interpreted
-    /// spec one unit per step.
+    /// Disables every rewrite: the *plain* program, the spec's own
+    /// stages with one unit per step — what the platform's flow engine
+    /// walks serially when fault injection is armed.
     pub fn disabled() -> Self {
         PassConfig {
             eliminate_dead: false,

@@ -26,6 +26,12 @@
 //! (breakers, metric stripes) are taken under it. Groups execute one
 //! shard at a time, honouring the one-shard-at-a-time rule.
 //!
+//! An item runs under the direct path's policy by construction, not by
+//! copy: it resolves through [`EmbeddedPlatform::resolve_call`], retries
+//! through [`EmbeddedPlatform::retry_loop`] and shares the object-side
+//! steps (`load_state`, `presign_urls`, `record_files`). Only what an
+//! attempt *is* differs: the arena's task shell, merged into its group.
+//!
 //! Pinned chaos behavior: with fault injection armed — or when any item
 //! names a dataflow — the whole batch degrades to sequential
 //! [`EmbeddedPlatform::invoke`] calls in submission order. Fault
@@ -39,19 +45,15 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use oprc_core::invocation::{InvocationTask, TaskResult};
-use oprc_core::object::{FileRef, ObjectId};
-use oprc_store::presign::Method;
+use oprc_core::object::ObjectId;
 use oprc_telemetry::TraceContext;
-use oprc_value::{vjson, Snapshot, Value};
+use oprc_value::{Snapshot, Value};
 
 use crate::PlatformError;
 
 use super::shard::{shard_index, Shard};
 use super::state::StateLayer;
-use super::{
-    bucket_name, is_retryable, merge_patch, storage_key, DispatchPlan, EmbeddedPlatform,
-    FunctionImpl, PlanTable,
-};
+use super::{merge_patch, object_key, record_files, EmbeddedPlatform, PlanTable, ResolvedCall};
 
 /// One invocation in an [`EmbeddedPlatform::invoke_batch`] call.
 #[derive(Debug, Clone)]
@@ -82,9 +84,7 @@ impl BatchItem {
 struct ResolvedItem<'a> {
     id: ObjectId,
     class: String,
-    dispatch: &'a DispatchPlan,
-    plan: &'a super::ClassPlan,
-    f: FunctionImpl,
+    call: ResolvedCall<'a>,
 }
 
 /// Per-batch scratch: the group runner's working set. Reset between
@@ -108,7 +108,6 @@ struct BatchArena {
 struct GroupObject {
     id: ObjectId,
     key: Arc<str>,
-    class: String,
     state: Snapshot,
     /// Directory revision when loaded.
     revision: u64,
@@ -198,20 +197,31 @@ impl EmbeddedPlatform {
                 }
             }
         }
+        // Items that cannot execute get their error slotted here.
         let mut results: Vec<Option<Result<TaskResult, PlatformError>>> =
-            items.iter().map(|_| None).collect();
+            Vec::with_capacity(items.len());
         let mut resolved: Vec<Option<ResolvedItem<'_>>> = Vec::with_capacity(items.len());
         {
             let functions = self.functions.read();
-            for (slot, item) in items.iter().enumerate() {
-                resolved.push(self.resolve_item(
-                    item,
-                    classes[slot].as_deref(),
-                    &plans,
-                    &functions,
-                    started,
-                    &mut results[slot],
-                ));
+            for (item, class) in items.iter().zip(classes) {
+                let call = class
+                    .ok_or(PlatformError::UnknownObject(item.id.as_u64()))
+                    .and_then(|class| {
+                        let plan = plans.get(&class);
+                        let call =
+                            self.resolve_call(&class, &item.function, plan, &functions, started)?;
+                        Ok(ResolvedItem {
+                            id: item.id,
+                            class,
+                            call,
+                        })
+                    });
+                let (call, miss) = match call {
+                    Ok(call) => (Some(call), None),
+                    Err(e) => (None, Some(Err(e))),
+                };
+                resolved.push(call);
+                results.push(miss);
             }
         }
         let enabled = self.telemetry.is_enabled();
@@ -287,7 +297,8 @@ impl EmbeddedPlatform {
                         self.telemetry
                             .begin_child(group_span, "invoke.batch.item", item_started);
                     self.telemetry.attr(s, "object", r.id.as_u64());
-                    self.telemetry.attr(s, "function", &*r.dispatch.function);
+                    self.telemetry
+                        .attr(s, "function", &*r.call.dispatch.function);
                     s
                 } else {
                     TraceContext::NONE
@@ -302,7 +313,7 @@ impl EmbeddedPlatform {
                     }
                     self.telemetry.end(item_span, self.now());
                 }
-                self.record(&r.class, &r.dispatch.function, item_started, &out);
+                self.record(&r.class, &r.call.dispatch.function, item_started, &out);
                 results[slot] = Some(out);
             }
             // Merged commit: each object this group touched is stored
@@ -383,75 +394,15 @@ impl EmbeddedPlatform {
             .collect()
     }
 
-    /// Resolves one item against the plan snapshot, mirroring
-    /// [`EmbeddedPlatform::invoke_routed`]'s error chain. Items that
-    /// cannot execute get their error slotted here; only an unknown
-    /// image is recorded into the metric windows (sequential parity —
-    /// earlier resolution misses never reach `record` there either).
-    fn resolve_item<'a>(
-        &self,
-        item: &BatchItem,
-        class: Option<&str>,
-        plans: &'a PlanTable,
-        functions: &super::FunctionRegistry,
-        started: oprc_simcore::SimTime,
-        slot: &mut Option<Result<TaskResult, PlatformError>>,
-    ) -> Option<ResolvedItem<'a>> {
-        let Some(class) = class else {
-            *slot = Some(Err(PlatformError::UnknownObject(item.id.as_u64())));
-            return None;
-        };
-        let Some(plan) = plans.get(class) else {
-            // Plans cover every registered class, so a missing plan
-            // means an undeployed class — surface the registry's error.
-            let err = match self.registry.read().require_class(class) {
-                Err(e) => e.into(),
-                Ok(_) => unreachable!("deployed classes are planned"),
-            };
-            *slot = Some(Err(err));
-            return None;
-        };
-        let Some(dispatch) = plan.functions.get(&item.function) else {
-            *slot = Some(Err(PlatformError::Core(
-                oprc_core::CoreError::UnknownFunction {
-                    class: class.to_string(),
-                    function: item.function.clone(),
-                },
-            )));
-            return None;
-        };
-        if dispatch.internal {
-            *slot = Some(Err(PlatformError::AccessDenied {
-                class: class.to_string(),
-                function: item.function.clone(),
-            }));
-            return None;
-        }
-        let Some(f) = functions.get(&dispatch.image) else {
-            let err = Err(PlatformError::UnknownImage(dispatch.image.to_string()));
-            self.record(class, &item.function, started, &err);
-            *slot = Some(err);
-            return None;
-        };
-        Some(ResolvedItem {
-            id: item.id,
-            class: class.to_string(),
-            dispatch,
-            plan,
-            f,
-        })
-    }
-
-    /// Runs one item under the group's held shard lock, mirroring
-    /// [`EmbeddedPlatform::invoke_with_retry`]'s policy semantics:
-    /// breaker gate, bounded attempts with the same seeded backoff
-    /// stream, per-invocation deadline. A patch is merged into the
-    /// record at once ([`apply_to_group`]) — the counted store is
-    /// deferred to the group commit.
+    /// Runs one item under the group's held shard lock, with the policy
+    /// semantics of [`EmbeddedPlatform::invoke_with_retry`] — breaker
+    /// gate, then [`EmbeddedPlatform::retry_loop`] — over a different
+    /// attempt: the arena's task shell re-executed in place, a patch
+    /// merged into the record at once ([`apply_to_group`]), the counted
+    /// store deferred to the group commit.
     /// The committed-map/torn-ack machinery is not needed here: torn
     /// outcomes only exist under chaos, and chaos pins the batch to the
     /// sequential path.
-    #[allow(clippy::too_many_arguments)]
     fn run_batch_item(
         &self,
         sh: &mut Shard,
@@ -461,77 +412,29 @@ impl EmbeddedPlatform {
         parent: TraceContext,
         remote: bool,
     ) -> Result<TaskResult, PlatformError> {
-        let policy = &r.plan.retry;
-        let function: &str = &r.dispatch.function;
+        let (dispatch, policy) = (r.call.dispatch, &r.call.plan.retry);
+        let function: &str = &dispatch.function;
         // Breakers are leaf-tier: taking them under the shard hold is
         // the sanctioned §12 order (Control ≺ Shard ≺ Leaf).
-        self.breaker_admit(&r.class, function, &r.dispatch.breaker_key, policy)?;
+        self.breaker_admit(&r.class, function, &dispatch.breaker_key, policy)?;
         let ikey = self.next_invocation.fetch_add(1, Ordering::Relaxed);
         let ox = self.group_object(sh, arena, r, parent, remote)?;
         let enabled = self.telemetry.is_enabled();
         self.shape_task(arena, ox, r, args, ikey, parent, enabled);
-        let mut backoffs =
-            policy.backoff_seq(self.jitter_seed ^ ikey.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let attempt_started = self.chaos_now();
-        let mut last_err = None;
-        let max_attempts = policy.max_attempts.max(1);
-        for attempt in 1..=max_attempts {
-            let task = arena.task.as_ref().expect("shaped above");
+        let out = self.retry_loop(&r.class, dispatch, policy, ikey, parent, |_| {
+            let task = arena.task.as_mut().expect("shaped above");
             let exec_span = self.begin_execute_span(task, parent);
-            let result = (r.f)(task).map_err(PlatformError::from);
-            if enabled {
-                if let Err(e) = &result {
-                    self.telemetry.attr(exec_span, "error", e.to_string());
-                }
-                self.telemetry.end(exec_span, self.now());
-            }
-            match result {
-                Ok(out) => {
-                    // Release the task shell's ref on the running
-                    // snapshot so the merge mutates it in place
-                    // instead of deep-cloning.
-                    if let Some(task) = arena.task.as_mut() {
-                        task.state_in = Snapshot::default();
-                    }
-                    apply_to_group(&mut sh.state, &mut arena.objects[ox], &out);
-                    self.breaker_settle(&r.class, function, &r.dispatch.breaker_key, true);
-                    return Ok(out);
-                }
-                Err(e) if is_retryable(&e) && attempt < max_attempts => {
-                    let delay = backoffs.next().expect("backoff sequence is infinite");
-                    let elapsed = self.chaos_now() - attempt_started;
-                    if elapsed + delay > policy.deadline {
-                        last_err = Some(PlatformError::DeadlineExceeded {
-                            function: function.to_string(),
-                            deadline_ms: policy.deadline.as_millis_f64() as u64,
-                        });
-                        break;
-                    }
-                    self.chaos_clock
-                        .fetch_add(delay.as_nanos(), Ordering::Relaxed);
-                    self.metrics.record_retry(&r.class, function);
-                    if enabled {
-                        self.telemetry.instant_under(
-                            parent,
-                            "retry.backoff",
-                            vjson!({
-                                "attempt": (u64::from(attempt)),
-                                "delay_ms": (delay.as_millis_f64()),
-                                "error": (e.to_string()),
-                            }),
-                            self.now(),
-                        );
-                    }
-                    last_err = Some(e);
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    break;
-                }
-            }
-        }
-        self.breaker_settle(&r.class, function, &r.dispatch.breaker_key, false);
-        Err(last_err.expect("loop ran at least one attempt"))
+            let result = (r.call.f)(&*task).map_err(PlatformError::from);
+            self.end_span(exec_span, &result);
+            let out = result?;
+            // Release the task shell's ref on the running snapshot so
+            // the merge mutates it in place instead of deep-cloning.
+            task.state_in = Snapshot::default();
+            apply_to_group(&mut sh.state, &mut arena.objects[ox], &out);
+            Ok(out)
+        });
+        self.breaker_settle(&r.class, function, &dispatch.breaker_key, out.is_ok());
+        out
     }
 
     /// Finds or creates the group's running state for `r`'s object:
@@ -551,25 +454,8 @@ impl EmbeddedPlatform {
         if let Some(ix) = arena.objects.iter().position(|o| o.id == r.id) {
             return Ok(ix);
         }
-        let key = match sh.objects.get(&r.id) {
-            Some(entry) => Arc::clone(&entry.storage_key),
-            None => Arc::from(storage_key(&r.class, r.id).as_str()),
-        };
-        let enabled = self.telemetry.is_enabled();
-        let load_span = if enabled {
-            let s = self.telemetry.begin_child(parent, "state.load", self.now());
-            self.telemetry.attr(s, "key", &*key);
-            s
-        } else {
-            TraceContext::NONE
-        };
-        let sink = self.telemetry.clone();
-        let loaded = sh.state.load_traced(self.now(), &key, &sink, load_span);
-        if enabled {
-            self.telemetry.attr(load_span, "hit", loaded.is_some());
-            self.telemetry.end(load_span, self.now());
-        }
-        let state = loaded.unwrap_or_else(Snapshot::object);
+        let key = object_key(sh, &r.class, r.id);
+        let state = self.load_state(sh, &key, parent)?;
         let state = if remote {
             // Function shipping: copy the owner's state onto the
             // executing node (under the group's transport hold).
@@ -578,26 +464,15 @@ impl EmbeddedPlatform {
             state
         };
         let revision = sh.objects.get(&r.id).map_or(0, |e| e.revision);
-        let mut file_urls = BTreeMap::new();
-        for fk in r.plan.file_keys.iter() {
-            file_urls.insert(
-                fk.clone(),
-                self.presign_for(&r.class, r.id, fk, Method::Get)?,
-            );
-            file_urls.insert(
-                format!("{fk}:put"),
-                self.presign_for(&r.class, r.id, fk, Method::Put)?,
-            );
-        }
+        let file_urls = self.presign_urls(&r.class, r.id, &r.call.plan.file_keys)?;
         arena.objects.push(GroupObject {
             id: r.id,
             key,
-            class: r.class.clone(),
             state,
             revision,
             bumps: 0,
             dirty: false,
-            persists: r.plan.persists,
+            persists: r.call.plan.persists,
             files_written: Vec::new(),
             file_urls,
         });
@@ -624,9 +499,9 @@ impl EmbeddedPlatform {
             Some(task) => {
                 task.task_id = task_id;
                 task.object = r.id;
-                set_str(&mut task.impl_class, &r.dispatch.impl_class);
-                set_str(&mut task.function, &r.dispatch.function);
-                set_str(&mut task.image, &r.dispatch.image);
+                set_str(&mut task.impl_class, &r.call.dispatch.impl_class);
+                set_str(&mut task.function, &r.call.dispatch.function);
+                set_str(&mut task.image, &r.call.dispatch.image);
                 task.state_in = obj.state.clone();
                 task.state_revision = obj.revision + obj.bumps;
                 task.args = args;
@@ -640,9 +515,9 @@ impl EmbeddedPlatform {
                 arena.task = Some(InvocationTask {
                     task_id,
                     object: r.id,
-                    impl_class: r.dispatch.impl_class.to_string(),
-                    function: r.dispatch.function.to_string(),
-                    image: r.dispatch.image.to_string(),
+                    impl_class: r.call.dispatch.impl_class.to_string(),
+                    function: r.call.dispatch.function.to_string(),
+                    image: r.call.dispatch.image.to_string(),
                     state_in: obj.state.clone(),
                     state_revision: obj.revision + obj.bumps,
                     args,
@@ -681,18 +556,9 @@ impl EmbeddedPlatform {
                 self.metrics.record_commit();
             }
             if !obj.files_written.is_empty() {
-                let bucket = bucket_name(&obj.class);
                 if let Some(entry) = sh.objects.get_mut(&obj.id) {
-                    for (file_key, etag) in &obj.files_written {
-                        entry.files.insert(
-                            file_key.clone(),
-                            FileRef {
-                                bucket: bucket.clone(),
-                                key: format!("{}/{file_key}", obj.id),
-                                etag: Some(etag.clone()),
-                            },
-                        );
-                    }
+                    let files = obj.files_written.iter().map(|(k, etag)| (k, etag));
+                    record_files(entry, obj.id, files);
                 }
             }
             if obj.bumps > 0 {

@@ -10,7 +10,7 @@
 //! Dataflow stages execute their steps on scoped worker threads — the
 //! "platform handles parallelism" half of §II-B — which is safe because
 //! tasks are pure: all state effects are applied by the platform
-//! afterwards, in deterministic step order.
+//! afterwards, in deterministic step order (the engine is `flow.rs`).
 //!
 //! # Concurrency
 //!
@@ -32,6 +32,7 @@
 //! byte-identical.
 
 mod batch;
+mod flow;
 mod functions;
 mod nodes;
 mod s3;
@@ -56,7 +57,6 @@ use oprc_analyzer::{analyze_with, doctor_with, AnalysisReport, LintConfig, Sever
 use oprc_chaos::{CircuitBreaker, FaultInjector, FaultKind, FaultPlan, InjectionSite, RetryPolicy};
 use oprc_cluster::Cluster;
 use oprc_core::dataflow::{DataRef, DataflowSpec, StepSpec};
-use oprc_core::flow_ir::{FlowIr, FlowProgram, NodeBinding, PassConfig};
 use oprc_core::invocation::{InvocationTask, TaskError, TaskResult};
 use oprc_core::object::{FileRef, ObjectId};
 use oprc_core::optimizer::{self, OptimizerConfig, ScalePlan};
@@ -78,6 +78,7 @@ use crate::registry::PackageRegistry;
 use crate::router::ObjectRouter;
 use crate::PlatformError;
 
+use flow::CompiledFlow;
 use nodes::{NodeHop, NodeTable};
 use shard::{shard_index, ObjectEntry, Shard, ShardHandle};
 
@@ -119,16 +120,14 @@ struct DispatchPlan {
     breaker_key: Arc<str>,
 }
 
-/// A dataflow compiled at deploy time: the source spec plus the
-/// optimized [`FlowProgram`] the IR passes produced for it.
-///
-/// `program` is `None` only when the spec fails validation (kept so the
-/// invoke path can surface the exact `validate()` error instead of a
-/// plan-miss); every deployable flow compiles.
-#[derive(Debug)]
-struct CompiledFlow {
-    spec: Arc<DataflowSpec>,
-    program: Option<FlowProgram>,
+/// A `class::function` call resolved against a plan snapshot (by
+/// [`EmbeddedPlatform::resolve_call`] for external callers, by the flow
+/// engine for its steps): the plan entries stay borrowed from the
+/// snapshot, which outlives the invocation.
+struct ResolvedCall<'a> {
+    plan: &'a ClassPlan,
+    dispatch: &'a DispatchPlan,
+    f: FunctionImpl,
 }
 
 /// Per-class invocation plan, built by
@@ -362,7 +361,8 @@ pub struct EmbeddedPlatform {
     lint_config: LintConfig,
     /// Whether [`rebuild_dispatch_plans`](Self::rebuild_dispatch_plans)
     /// runs the same-object fusion pass (on by default; the equivalence
-    /// tests and benches flip it off to get an interpreted baseline).
+    /// tests and benches flip it off to get the one-commit-per-step
+    /// reference the fused program is compared against).
     fuse_flows: bool,
     /// Seed for per-invocation backoff jitter streams.
     jitter_seed: u64,
@@ -787,35 +787,12 @@ impl EmbeddedPlatform {
                         },
                     );
                 }
-                let cfg = if self.fuse_flows {
-                    PassConfig::default()
-                } else {
-                    PassConfig {
-                        eliminate_dead: true,
-                        fuse: false,
-                    }
-                };
                 let dataflows = resolved
                     .dataflows
                     .iter()
                     .map(|df| {
-                        let program = FlowIr::lower(df).ok().map(|mut ir| {
-                            ir.bind(|n| NodeBinding {
-                                class: n.target.is_none().then(|| class.to_string()),
-                                readonly: resolved
-                                    .function(&n.function)
-                                    .is_some_and(|f| f.readonly),
-                                availability: resolved.nfr.qos.availability,
-                            });
-                            ir.optimize(&cfg, |n| n.binding.readonly)
-                        });
-                        (
-                            df.name.clone(),
-                            Arc::new(CompiledFlow {
-                                spec: Arc::new(df.clone()),
-                                program,
-                            }),
-                        )
+                        let flow = CompiledFlow::compile(df, class, resolved, self.fuse_flows);
+                        (df.name.clone(), Arc::new(flow))
                     })
                     .collect();
                 let file_keys: Arc<[String]> = resolved
@@ -1234,47 +1211,65 @@ impl EmbeddedPlatform {
         // concurrent redeploy swaps the table under new invokes without
         // tearing this one.
         let plans: Arc<PlanTable> = Arc::clone(&self.plans.read());
-        let Some(plan) = plans.get(&class) else {
-            // Plans cover every registered class, so a missing plan
-            // means an undeployed class — surface the registry's
-            // error.
-            self.registry.read().require_class(&class)?;
-            unreachable!("deployed classes are planned")
-        };
-
-        if let Some(flow) = plan.dataflows.get(function) {
-            let flow = Arc::clone(flow);
-            let out = self.run_dataflow(id, &class, &flow, args, root, &plans);
+        let plan = plans.get(&class);
+        if let Some(flow) = plan.and_then(|p| p.dataflows.get(function)) {
+            let out = self.run_dataflow(id, &class, flow, args, root, &plans);
             self.record(&class, function, started, &out);
             return out;
         }
+        // The call stays borrowed from the plan snapshot: `plans`
+        // outlives the whole invocation, so no per-invoke clone is
+        // needed; and the implementation is in hand before the shard
+        // lock is taken, which is never held while consulting the
+        // function registry.
+        let call = self.resolve_call(&class, function, plan, &self.functions.read(), started)?;
+        let locality = self.route(&class, id, root);
+        let hop = self.node_hop(id, locality);
+        hop.count();
+        self.emit_node_hop(&hop, root);
+        let out = self.invoke_with_retry(id, &class, &call, args, root, &hop);
+        self.record(&class, function, started, &out);
+        out
+    }
 
+    /// Resolves `class::function` for an external caller against one
+    /// plan snapshot (`plan` is the snapshot's entry for `class`): class
+    /// → plan → dispatch → access → implementation, failing at the first
+    /// miss. Only an unknown image is recorded into
+    /// the metric windows — it is the one miss that names a deployed,
+    /// callable function; the earlier ones never reach a series.
+    fn resolve_call<'a>(
+        &self,
+        class: &str,
+        function: &str,
+        plan: Option<&'a ClassPlan>,
+        functions: &FunctionRegistry,
+        started: SimTime,
+    ) -> Result<ResolvedCall<'a>, PlatformError> {
+        let Some(plan) = plan else {
+            // Plans cover every registered class, so a missing plan
+            // means an undeployed class — surface the registry's error.
+            self.registry.read().require_class(class)?;
+            unreachable!("deployed classes are planned")
+        };
         let Some(dispatch) = plan.functions.get(function) else {
             return Err(PlatformError::Core(oprc_core::CoreError::UnknownFunction {
-                class,
+                class: class.to_string(),
                 function: function.to_string(),
             }));
         };
         if dispatch.internal {
             return Err(PlatformError::AccessDenied {
-                class,
+                class: class.to_string(),
                 function: function.to_string(),
             });
         }
-        // The dispatch stays borrowed from the plan snapshot: `plans`
-        // outlives the whole call, so no per-invoke clone is needed.
-        let locality = self.route(&class, id, root);
-        let hop = self.node_hop(id, locality);
-        hop.count();
-        self.emit_node_hop(&hop, root);
-        // Prefetch the implementation so the shard lock is never held
-        // while consulting the function registry.
-        let out = match self.functions.read().get(&dispatch.image) {
-            Some(f) => self.invoke_with_retry(id, &class, plan, dispatch, &f, args, root, &hop),
-            None => Err(PlatformError::UnknownImage(dispatch.image.to_string())),
+        let Some(f) = functions.get(&dispatch.image) else {
+            let miss = Err(PlatformError::UnknownImage(dispatch.image.to_string()));
+            self.record(class, function, started, &miss);
+            return miss;
         };
-        self.record(&class, function, started, &out);
-        out
+        Ok(ResolvedCall { plan, dispatch, f })
     }
 
     /// Records the node-level hop on the trace — only on a multi-node
@@ -1298,9 +1293,10 @@ impl EmbeddedPlatform {
     }
 
     /// Runs one function invocation under its retry policy: breaker
-    /// gate, bounded attempts with seeded backoff, per-invocation
-    /// deadline — with exactly-once state commits guaranteed by the
-    /// task's idempotency key.
+    /// gate, [`retry_loop`](Self::retry_loop) over re-shipped attempts —
+    /// with exactly-once state commits guaranteed by the task's
+    /// idempotency key. The flow engine sends its steps here too when
+    /// chaos is armed.
     ///
     /// The object's shard lock is held across the whole retry loop, so
     /// two invocations racing on one object serialize as units — their
@@ -1308,32 +1304,22 @@ impl EmbeddedPlatform {
     /// built once and *re-shipped* across attempts (§III-C: pure
     /// functions make the bundled task safely re-executable); only a
     /// failed build is rebuilt, since a build failure commits nothing.
-    #[allow(clippy::too_many_arguments)]
     fn invoke_with_retry(
         &self,
         id: ObjectId,
         class: &str,
-        plan: &ClassPlan,
-        dispatch: &DispatchPlan,
-        f: &FunctionImpl,
+        call: &ResolvedCall<'_>,
         args: Vec<Value>,
         parent: TraceContext,
         hop: &NodeHop,
     ) -> Result<TaskResult, PlatformError> {
-        let policy = &plan.retry;
+        let (dispatch, policy) = (call.dispatch, &call.plan.retry);
         let function: &str = &dispatch.function;
         self.breaker_admit(class, function, &dispatch.breaker_key, policy)?;
         let ikey = self.next_invocation.fetch_add(1, Ordering::Relaxed);
-        // Decorrelate concurrent invocations' jitter while keeping any
-        // fixed (seed, ikey) pair exactly reproducible.
-        let mut backoffs =
-            policy.backoff_seq(self.jitter_seed ^ ikey.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let attempt_started = self.chaos_now();
         let mut task: Option<InvocationTask> = None;
-        let mut last_err = None;
-
         let mut sh = self.shard(id).lock();
-        for attempt in 1..=policy.max_attempts.max(1) {
+        let out = self.retry_loop(class, dispatch, policy, ikey, parent, |attempt| {
             let attempt_span = if attempt > 1 && self.telemetry.is_enabled() {
                 let s = self
                     .telemetry
@@ -1344,107 +1330,105 @@ impl EmbeddedPlatform {
                 TraceContext::NONE
             };
             let result = self.run_attempt(
-                &mut sh, id, class, plan, dispatch, f, &args, parent, ikey, &mut task, hop,
+                &mut sh, id, class, call, &args, parent, ikey, &mut task, hop,
             );
-            if !attempt_span.is_none() {
-                if let Err(e) = &result {
-                    self.telemetry.attr(attempt_span, "error", e.to_string());
-                }
-                self.telemetry.end(attempt_span, self.now());
-            }
-            match result {
-                Ok(out) => {
-                    // A torn ack on an earlier attempt left a committed
-                    // record; keys are globally unique, so it can never
-                    // be consulted again — drop it to keep the shard's
-                    // map bounded.
-                    sh.committed.remove(&ikey);
-                    drop(sh);
-                    self.breaker_settle(class, function, &dispatch.breaker_key, true);
-                    return Ok(out);
-                }
-                Err(e) if is_retryable(&e) && attempt < policy.max_attempts => {
-                    let delay = backoffs.next().expect("backoff sequence is infinite");
-                    let elapsed = self.chaos_now() - attempt_started;
-                    if elapsed + delay > policy.deadline {
-                        last_err = Some(PlatformError::DeadlineExceeded {
-                            function: function.to_string(),
-                            deadline_ms: policy.deadline.as_millis_f64() as u64,
-                        });
-                        break;
-                    }
-                    self.chaos_clock
-                        .fetch_add(delay.as_nanos(), Ordering::Relaxed);
-                    self.metrics.record_retry(class, function);
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.instant_under(
-                            parent,
-                            "retry.backoff",
-                            vjson!({
-                                "attempt": (u64::from(attempt)),
-                                "delay_ms": (delay.as_millis_f64()),
-                                "error": (e.to_string()),
-                            }),
-                            self.now(),
-                        );
-                    }
-                    last_err = Some(e);
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // A torn commit ack on the final attempt: the state change
-        // landed exactly once and was recorded — recover the result
-        // instead of reporting an error for work that committed.
-        let recovered = sh.committed.remove(&ikey);
+            self.end_span(attempt_span, &result);
+            result
+        });
+        // A torn ack left a committed record. After a success it can
+        // never be consulted again (keys are globally unique) — dropping
+        // it keeps the shard's map bounded. After a failure it is the
+        // result: the state change landed exactly once and was recorded,
+        // so recover it instead of reporting an error for work that
+        // committed.
+        let torn = sh.committed.remove(&ikey);
         drop(sh);
-        if let Some(result) = recovered {
-            self.breaker_settle(class, function, &dispatch.breaker_key, true);
+        let (out, recovered) = match (out, torn) {
+            (Err(_), Some(result)) => (Ok(result), true),
+            (out, _) => (out, false),
+        };
+        self.breaker_settle(class, function, &dispatch.breaker_key, out.is_ok());
+        if recovered && self.telemetry.is_enabled() {
+            self.telemetry.instant_under(
+                parent,
+                "commit.recovered",
+                vjson!({"idempotency_key": ikey}),
+                self.now(),
+            );
+        }
+        out
+    }
+
+    /// The one retry loop: runs `attempt` (numbered from 1) until it
+    /// succeeds, fails for good, or the policy gives up — at most
+    /// `max_attempts`, a seeded backoff on the chaos clock before each
+    /// retry, and a per-invocation deadline no backoff may cross.
+    ///
+    /// What an attempt *is* belongs to the caller (the direct path
+    /// re-ships one saved task and commits per attempt; a batch item
+    /// re-runs the arena's task shell and merges into its group), as do
+    /// the breaker gate and the idempotency key; the jitter stream is a
+    /// pure function of `(seed, ikey)`, so both callers back off
+    /// identically.
+    fn retry_loop(
+        &self,
+        class: &str,
+        dispatch: &DispatchPlan,
+        policy: &RetryPolicy,
+        ikey: u64,
+        parent: TraceContext,
+        mut attempt: impl FnMut(u32) -> Result<TaskResult, PlatformError>,
+    ) -> Result<TaskResult, PlatformError> {
+        let function: &str = &dispatch.function;
+        // Decorrelate concurrent invocations' jitter while keeping any
+        // fixed (seed, ikey) pair exactly reproducible.
+        let mut backoffs =
+            policy.backoff_seq(self.jitter_seed ^ ikey.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let started = self.chaos_now();
+        let mut n = 1;
+        loop {
+            let e = match attempt(n) {
+                Ok(out) => return Ok(out),
+                Err(e) if is_retryable(&e) && n < policy.max_attempts => e,
+                Err(e) => return Err(e),
+            };
+            let delay = backoffs.next().expect("backoff sequence is infinite");
+            if self.chaos_now() - started + delay > policy.deadline {
+                return Err(PlatformError::DeadlineExceeded {
+                    function: function.to_string(),
+                    deadline_ms: policy.deadline.as_millis_f64() as u64,
+                });
+            }
+            self.chaos_clock
+                .fetch_add(delay.as_nanos(), Ordering::Relaxed);
+            self.metrics.record_retry(class, function);
             if self.telemetry.is_enabled() {
                 self.telemetry.instant_under(
                     parent,
-                    "commit.recovered",
-                    vjson!({"idempotency_key": ikey}),
+                    "retry.backoff",
+                    vjson!({
+                        "attempt": (u64::from(n)),
+                        "delay_ms": (delay.as_millis_f64()),
+                        "error": (e.to_string()),
+                    }),
                     self.now(),
                 );
             }
-            return Ok(result);
+            n += 1;
         }
-        self.breaker_settle(class, function, &dispatch.breaker_key, false);
-        Err(last_err.expect("loop ran at least one attempt"))
     }
 
-    /// One attempt: (re)build the task if none survives from a prior
-    /// attempt, cross the offload boundary, execute, and commit.
-    #[allow(clippy::too_many_arguments)]
-    fn run_attempt(
-        &self,
-        sh: &mut Shard,
-        id: ObjectId,
-        class: &str,
-        plan: &ClassPlan,
-        dispatch: &DispatchPlan,
-        f: &FunctionImpl,
-        args: &[Value],
-        parent: TraceContext,
-        ikey: u64,
-        task: &mut Option<InvocationTask>,
-        hop: &NodeHop,
-    ) -> Result<TaskResult, PlatformError> {
-        if task.is_none() {
-            let mut built =
-                self.build_task(sh, id, class, plan, dispatch, args.to_vec(), parent)?;
-            built.idempotency_key = ikey;
-            *task = Some(built);
+    /// Ends `span`, recording `out`'s error on it first. A no-op for
+    /// the null context (telemetry off, or a span that was never
+    /// opened).
+    fn end_span<T>(&self, span: TraceContext, out: &Result<T, PlatformError>) {
+        if span.is_none() {
+            return;
         }
-        // Every attempt executes the one saved task by reference: a
-        // re-ship costs nothing, and no attempt-local clone of
-        // `state_in` outlives the execution to force a copy at commit.
-        let task = task.as_mut().expect("just built");
-        self.execute_and_apply(sh, id, class, plan.persists, f, task, hop)
+        if let Err(e) = out {
+            self.telemetry.attr(span, "error", e.to_string());
+        }
+        self.telemetry.end(span, self.now());
     }
 
     /// Admits or rejects an invocation through the function's breaker.
@@ -1573,12 +1557,12 @@ impl EmbeddedPlatform {
         }
     }
 
-    fn record(
+    fn record<T>(
         &self,
         class: &str,
         function: &str,
         started: SimTime,
-        out: &Result<TaskResult, PlatformError>,
+        out: &Result<T, PlatformError>,
     ) {
         let now = self.now();
         let (latency, ok) = match out {
@@ -1650,67 +1634,10 @@ impl EmbeddedPlatform {
         args: Vec<Value>,
         parent: TraceContext,
     ) -> Result<InvocationTask, PlatformError> {
-        let enabled = self.telemetry.is_enabled();
-        // The object entry interned its storage key at creation; share
-        // it instead of re-formatting per invoke.
-        let key = match sh.objects.get(&id) {
-            Some(entry) => Arc::clone(&entry.storage_key),
-            None => Arc::from(storage_key(class, id).as_str()),
-        };
-        let load_span = if enabled {
-            let s = self.telemetry.begin_child(parent, "state.load", self.now());
-            self.telemetry.attr(s, "key", &*key);
-            s
-        } else {
-            TraceContext::NONE
-        };
-        if let Err(e) = self.chaos_gate(InjectionSite::StateLoad, load_span) {
-            if enabled {
-                self.telemetry.attr(load_span, "error", e.to_string());
-                self.telemetry.end(load_span, self.now());
-            }
-            return Err(e);
-        }
-        let sink = self.telemetry.clone();
-        let loaded = sh.state.load_traced(self.now(), &key, &sink, load_span);
-        if enabled {
-            self.telemetry.attr(load_span, "hit", loaded.is_some());
-            self.telemetry.end(load_span, self.now());
-        }
-        let state_in = loaded.unwrap_or_else(Snapshot::object);
+        let key = object_key(sh, class, id);
+        let state_in = self.load_state(sh, &key, parent)?;
         let revision = sh.objects.get(&id).map_or(0, |e| e.revision);
-        // Presign file URLs for every file-typed key spec (pre-resolved
-        // into the class's dispatch plan): GET under the key name, PUT
-        // under "<key>:put". `presign_for` never consults the object
-        // directory, so holding the shard lock here is safe.
-        let file_keys = &plan.file_keys;
-        let presign_span = if enabled && !file_keys.is_empty() {
-            self.telemetry.begin_child(parent, "presign", self.now())
-        } else {
-            TraceContext::NONE
-        };
-        if !file_keys.is_empty() {
-            if let Err(e) = self.chaos_gate(InjectionSite::StoragePresign, presign_span) {
-                if !presign_span.is_none() {
-                    self.telemetry.attr(presign_span, "error", e.to_string());
-                    self.telemetry.end(presign_span, self.now());
-                }
-                return Err(e);
-            }
-        }
-        let mut file_urls = BTreeMap::new();
-        for fk in file_keys.iter() {
-            file_urls.insert(fk.clone(), self.presign_for(class, id, fk, Method::Get)?);
-            file_urls.insert(
-                format!("{fk}:put"),
-                self.presign_for(class, id, fk, Method::Put)?,
-            );
-        }
-        if !presign_span.is_none() {
-            self.telemetry
-                .attr(presign_span, "urls", file_urls.len() as u64);
-            self.telemetry.end(presign_span, self.now());
-        }
+        let file_urls = self.presign_traced(parent, class, id, &plan.file_keys)?;
         let task_id = self.next_task.fetch_add(1, Ordering::Relaxed);
         Ok(InvocationTask {
             task_id,
@@ -1722,24 +1649,119 @@ impl EmbeddedPlatform {
             state_revision: revision,
             args,
             file_urls,
-            trace: enabled.then_some(parent),
+            trace: self.telemetry.is_enabled().then_some(parent),
             // The caller stamps the real key; 0 marks "not yet assigned".
             idempotency_key: 0,
         })
     }
 
+    /// The traced state read that opens every execution — a direct
+    /// attempt, a fused chain, a batch group's first touch of an object:
+    /// the `state.load` span under `parent`, the `state.load` fault
+    /// gate, the tiered load. An object with no record yet reads as the
+    /// empty object.
+    fn load_state(
+        &self,
+        sh: &mut Shard,
+        key: &Arc<str>,
+        parent: TraceContext,
+    ) -> Result<Snapshot, PlatformError> {
+        let span = if self.telemetry.is_enabled() {
+            let s = self.telemetry.begin_child(parent, "state.load", self.now());
+            self.telemetry.attr(s, "key", &**key);
+            s
+        } else {
+            TraceContext::NONE
+        };
+        let loaded = self
+            .chaos_gate(InjectionSite::StateLoad, span)
+            .map(|()| sh.state.load_traced(self.now(), key, &self.telemetry, span));
+        if let Ok(loaded) = &loaded {
+            self.telemetry.attr(span, "hit", loaded.is_some());
+        }
+        self.end_span(span, &loaded);
+        Ok(loaded?.unwrap_or_else(Snapshot::object))
+    }
+
+    /// Presigns the file URLs a task on `class`/`id` carries: for every
+    /// file-typed key spec (pre-resolved into the class's dispatch
+    /// plan) a GET URL under the key name and a PUT URL under
+    /// `"<key>:put"`. [`presign_for`](Self::presign_for) never consults
+    /// the object directory, so holding the shard lock here is safe.
+    fn presign_urls(
+        &self,
+        class: &str,
+        id: ObjectId,
+        file_keys: &[String],
+    ) -> Result<BTreeMap<String, String>, PlatformError> {
+        let mut file_urls = BTreeMap::new();
+        for fk in file_keys {
+            file_urls.insert(fk.clone(), self.presign_for(class, id, fk, Method::Get)?);
+            file_urls.insert(
+                format!("{fk}:put"),
+                self.presign_for(class, id, fk, Method::Put)?,
+            );
+        }
+        Ok(file_urls)
+    }
+
+    /// [`presign_urls`](Self::presign_urls) as a task build does it:
+    /// under a `presign` span and behind the `storage.presign` fault
+    /// gate. A class without file keys presigns nothing and leaves no
+    /// span.
+    fn presign_traced(
+        &self,
+        parent: TraceContext,
+        class: &str,
+        id: ObjectId,
+        file_keys: &[String],
+    ) -> Result<BTreeMap<String, String>, PlatformError> {
+        if file_keys.is_empty() {
+            return Ok(BTreeMap::new());
+        }
+        let span = if self.telemetry.is_enabled() {
+            self.telemetry.begin_child(parent, "presign", self.now())
+        } else {
+            TraceContext::NONE
+        };
+        let file_urls = self
+            .chaos_gate(InjectionSite::StoragePresign, span)
+            .and_then(|()| self.presign_urls(class, id, file_keys));
+        if let Ok(file_urls) = &file_urls {
+            self.telemetry.attr(span, "urls", file_urls.len() as u64);
+        }
+        self.end_span(span, &file_urls);
+        file_urls
+    }
+
+    /// One attempt: (re)build the task if none survives from a prior
+    /// attempt, cross the offload boundary, execute, and commit.
     #[allow(clippy::too_many_arguments)]
-    fn execute_and_apply(
+    fn run_attempt(
         &self,
         sh: &mut Shard,
         id: ObjectId,
         class: &str,
-        persists: bool,
-        f: &FunctionImpl,
-        task: &mut InvocationTask,
+        call: &ResolvedCall<'_>,
+        args: &[Value],
+        parent: TraceContext,
+        ikey: u64,
+        task: &mut Option<InvocationTask>,
         hop: &NodeHop,
     ) -> Result<TaskResult, PlatformError> {
-        let parent = task.trace.unwrap_or(TraceContext::NONE);
+        // Every attempt executes the one saved task by reference: a
+        // re-ship costs nothing, and no attempt-local clone of
+        // `state_in` outlives the execution to force a copy at commit.
+        let task = match task {
+            Some(task) => task,
+            empty => {
+                let (plan, dispatch) = (call.plan, call.dispatch);
+                let mut built =
+                    self.build_task(sh, id, class, plan, dispatch, args.to_vec(), parent)?;
+                built.idempotency_key = ikey;
+                empty.insert(built)
+            }
+        };
         // Crossing the offload RPC boundary: an error fault loses the
         // task before the engine sees it; a torn fault lets the engine
         // execute but loses the *response*, so nothing is committed.
@@ -1764,20 +1786,15 @@ impl EmbeddedPlatform {
                     let _transport = hop.owner_state.transport.lock();
                     let copy = Snapshot::from(task.state_in.value().clone());
                     let home = std::mem::replace(&mut task.state_in, copy);
-                    let out = f(task).map_err(PlatformError::from);
+                    let out = (call.f)(task).map_err(PlatformError::from);
                     (out, std::mem::replace(&mut task.state_in, home))
                 };
                 // `_shipped` is freed here, off the transport.
                 out
             }
-            Ok(()) => f(task).map_err(PlatformError::from),
+            Ok(()) => (call.f)(task).map_err(PlatformError::from),
         };
-        if self.telemetry.is_enabled() {
-            if let Err(e) = &result {
-                self.telemetry.attr(exec_span, "error", e.to_string());
-            }
-            self.telemetry.end(exec_span, self.now());
-        }
+        self.end_span(exec_span, &result);
         let result = result?;
         if offload_torn {
             return Err(PlatformError::FaultInjected {
@@ -1789,10 +1806,10 @@ impl EmbeddedPlatform {
             sh,
             id,
             class,
-            persists,
+            call.plan.persists,
             &result,
             parent,
-            task.idempotency_key,
+            ikey,
             Some(&mut task.state_in),
         )?;
         Ok(result)
@@ -1875,10 +1892,7 @@ impl EmbeddedPlatform {
             }
         };
         if let Some(patch) = &result.state_patch {
-            let key = match sh.objects.get(&id) {
-                Some(entry) => Arc::clone(&entry.storage_key),
-                None => Arc::from(storage_key(class, id).as_str()),
-            };
+            let key = object_key(sh, class, id);
             if let (false, Some(held)) = (torn, task_state) {
                 *held = Snapshot::default();
             }
@@ -1902,18 +1916,8 @@ impl EmbeddedPlatform {
             }
         }
         if !result.files_written.is_empty() {
-            let bucket = bucket_name(class);
             if let Some(entry) = sh.objects.get_mut(&id) {
-                for (file_key, etag) in &result.files_written {
-                    entry.files.insert(
-                        file_key.clone(),
-                        FileRef {
-                            bucket: bucket.clone(),
-                            key: format!("{id}/{file_key}"),
-                            etag: Some(etag.clone()),
-                        },
-                    );
-                }
+                record_files(entry, id, &result.files_written);
                 entry.revision += 1;
             }
         }
@@ -1934,630 +1938,6 @@ impl EmbeddedPlatform {
                 site: InjectionSite::StateCommit.as_str(),
                 kind: "torn",
             });
-        }
-        Ok(())
-    }
-
-    /// Dataflow entry point: route the invocation to the engine that
-    /// fits.
-    ///
-    /// - Chaos on → the interpreted engine, which runs steps serially
-    ///   through the retry loop so fault schedules replay
-    ///   byte-identically;
-    /// - no compiled program (the spec failed validation) → the
-    ///   interpreted engine, which surfaces the exact `validate()`
-    ///   error;
-    /// - otherwise → the compiled engine over the optimized
-    ///   [`FlowProgram`].
-    fn run_dataflow(
-        &self,
-        id: ObjectId,
-        class: &str,
-        flow: &CompiledFlow,
-        args: Vec<Value>,
-        root: TraceContext,
-        plans: &PlanTable,
-    ) -> Result<TaskResult, PlatformError> {
-        match &flow.program {
-            Some(program) if !self.chaos.is_enabled() => {
-                self.run_dataflow_compiled(id, class, &flow.spec, program, args, root, plans)
-            }
-            _ => self.run_dataflow_interp(id, class, &flow.spec, args, root, plans),
-        }
-    }
-
-    /// The interpreted dataflow engine: stages computed from the spec,
-    /// one task (and one state commit) per step.
-    fn run_dataflow_interp(
-        &self,
-        id: ObjectId,
-        class: &str,
-        df: &DataflowSpec,
-        args: Vec<Value>,
-        root: TraceContext,
-        plans: &PlanTable,
-    ) -> Result<TaskResult, PlatformError> {
-        df.validate()?;
-        let enabled = self.telemetry.is_enabled();
-        // The dataflow input and every step output live behind snapshots:
-        // fanning a value into several downstream steps bumps a refcount
-        // instead of deep-cloning the payload per consumer.
-        let input = Snapshot::from(args.into_iter().next().unwrap_or(Value::Null));
-        let mut outputs: BTreeMap<String, Snapshot> = BTreeMap::new();
-        let stage_plan: Vec<Vec<String>> = df
-            .try_stages()?
-            .into_iter()
-            .map(|stage| stage.into_iter().map(|s| s.id.clone()).collect())
-            .collect();
-        for (stage_index, stage) in stage_plan.into_iter().enumerate() {
-            let stage_span = if enabled {
-                let s = self
-                    .telemetry
-                    .begin_child(root, "dataflow.stage", self.now());
-                self.telemetry.attr(s, "index", stage_index as u64);
-                self.telemetry.attr(s, "parallelism", stage.len() as u64);
-                s
-            } else {
-                TraceContext::NONE
-            };
-            // Resolve each step's target object and dispatch, build all
-            // tasks of the stage, then execute them in parallel. Shard
-            // locks are taken one step at a time (build, then later
-            // apply) — never two at once, and never across execution.
-            let mut tasks = Vec::new();
-            let mut impls: Vec<FunctionImpl> = Vec::new();
-            let mut targets: Vec<(ObjectId, String, bool)> = Vec::new();
-            let mut step_spans: Vec<TraceContext> = Vec::new();
-            for step_id in &stage {
-                let step = df
-                    .steps
-                    .iter()
-                    .find(|s| &s.id == step_id)
-                    .expect("stage ids come from the dataflow");
-                // Cross-object steps (§II-B extension): dispatch is
-                // polymorphic on the *target's* class.
-                let (target_id, target_class) = match &step.target {
-                    None => (id, class.to_string()),
-                    Some(r) => {
-                        let resolved_ref = DataflowSpec::resolve_ref_shared(r, &input, &outputs);
-                        let raw = resolved_ref.as_u64().ok_or_else(|| {
-                            PlatformError::Core(oprc_core::CoreError::InvalidDataflow {
-                                dataflow: df.name.clone(),
-                                reason: format!(
-                                    "step '{}' target resolved to {resolved_ref}, not an object id",
-                                    step.id
-                                ),
-                            })
-                        })?;
-                        let tid = ObjectId(raw);
-                        let tclass = self.object_class(tid)?;
-                        (tid, tclass)
-                    }
-                };
-                // Dispatch resolves through the target class's cached
-                // plan — no registry walk or string formatting per step.
-                let target_plan = plans.get(&target_class);
-                let dispatch = match target_plan.and_then(|p| p.functions.get(&step.function)) {
-                    Some(d) => d.clone(),
-                    None => {
-                        // Distinguish an unknown class from an unknown
-                        // function on a known class.
-                        self.registry.read().require_class(&target_class)?;
-                        return Err(PlatformError::Core(oprc_core::CoreError::UnknownFunction {
-                            class: target_class.clone(),
-                            function: step.function.clone(),
-                        }));
-                    }
-                };
-                let target_plan = target_plan.expect("dispatch resolved through the plan");
-                let step_span = if enabled {
-                    let s = self
-                        .telemetry
-                        .begin_child(stage_span, "dataflow.step", self.now());
-                    self.telemetry.attr(s, "step", step_id.as_str());
-                    self.telemetry.attr(s, "function", step.function.as_str());
-                    self.telemetry.attr(s, "target", target_id.as_u64());
-                    s
-                } else {
-                    TraceContext::NONE
-                };
-                self.route(&target_class, target_id, step_span);
-                let inputs: Vec<Value> =
-                    DataflowSpec::resolve_inputs_shared(step, &input, &outputs)
-                        .into_iter()
-                        .map(Snapshot::into_value)
-                        .collect();
-                let f = self
-                    .functions
-                    .read()
-                    .get(&dispatch.image)
-                    .ok_or_else(|| PlatformError::UnknownImage(dispatch.image.to_string()))?;
-                if self.chaos.is_enabled() {
-                    // Under chaos the stage runs serially through the
-                    // retry loop: parallel workers racing to the shared
-                    // injector would make the fault schedule depend on
-                    // thread scheduling, breaking reproducibility.
-                    // Dataflow steps execute at the target's partition
-                    // owner (locality semantics): the coordinating node
-                    // never ships state for its own steps.
-                    let hop = self.node_hop(target_id, true);
-                    hop.count();
-                    let out = self.invoke_with_retry(
-                        target_id,
-                        &target_class,
-                        target_plan,
-                        &dispatch,
-                        &f,
-                        inputs,
-                        step_span,
-                        &hop,
-                    )?;
-                    outputs.insert(step_id.clone(), Snapshot::from(out.output));
-                    self.telemetry.end(step_span, self.now());
-                    continue;
-                }
-                let mut task = {
-                    let mut sh = self.shard(target_id).lock();
-                    self.build_task(
-                        &mut sh,
-                        target_id,
-                        &target_class,
-                        target_plan,
-                        &dispatch,
-                        inputs,
-                        step_span,
-                    )?
-                };
-                task.idempotency_key = self.next_invocation.fetch_add(1, Ordering::Relaxed);
-                tasks.push(task);
-                impls.push(f);
-                targets.push((target_id, target_class, target_plan.persists));
-                step_spans.push(step_span);
-            }
-            // Execute-span bookkeeping stays on the platform thread, in
-            // step order, so span ids remain deterministic regardless of
-            // worker-thread scheduling.
-            let exec_spans: Vec<TraceContext> = tasks
-                .iter()
-                .map(|t| self.begin_execute_span(t, t.trace.unwrap_or(TraceContext::NONE)))
-                .collect();
-            // Parallel execution (§II-B): safe because tasks are pure.
-            let results: Vec<Result<TaskResult, TaskError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = tasks
-                    .iter()
-                    .zip(impls.iter())
-                    .map(|(t, f)| scope.spawn(move || f(t)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("function panicked"))
-                    .collect()
-            });
-            if enabled {
-                for (span, result) in exec_spans.iter().zip(&results) {
-                    if let Err(e) = result {
-                        self.telemetry.attr(*span, "error", e.to_string());
-                    }
-                    self.telemetry.end(*span, self.now());
-                }
-            }
-            // Apply effects deterministically in step order. The tasks
-            // go first: nothing re-executes them, and their `state_in`
-            // handles would force a copy at each commit.
-            let ikeys: Vec<u64> = tasks.into_iter().map(|t| t.idempotency_key).collect();
-            for ((((step_id, result), (target_id, target_class, persists)), step_span), ikey) in
-                stage
-                    .iter()
-                    .zip(results)
-                    .zip(targets)
-                    .zip(step_spans)
-                    .zip(ikeys)
-            {
-                let result = result?;
-                self.apply_result(
-                    &mut self.shard(target_id).lock(),
-                    target_id,
-                    &target_class,
-                    persists,
-                    &result,
-                    step_span,
-                    ikey,
-                    None,
-                )?;
-                outputs.insert(step_id.clone(), Snapshot::from(result.output));
-                self.telemetry.end(step_span, self.now());
-            }
-            self.telemetry.end(stage_span, self.now());
-        }
-        let out_step = df.output_step().expect("validated dataflow has steps");
-        // Removing the entry usually leaves the snapshot unique, making
-        // the final unwrap zero-copy.
-        Ok(TaskResult::output(
-            outputs
-                .remove(out_step)
-                .map_or(Value::Null, Snapshot::into_value),
-        ))
-    }
-
-    /// The compiled dataflow engine: executes the optimized
-    /// [`FlowProgram`] the IR passes produced at deploy time.
-    /// Eliminated steps are never built; singleton units run exactly
-    /// like the interpreted engine (same spans, same parallel stage
-    /// execution); fused units run the whole same-object chain under
-    /// one shard-lock hold with a single state commit.
-    #[allow(clippy::too_many_arguments)]
-    fn run_dataflow_compiled(
-        &self,
-        id: ObjectId,
-        class: &str,
-        df: &DataflowSpec,
-        program: &FlowProgram,
-        args: Vec<Value>,
-        root: TraceContext,
-        plans: &PlanTable,
-    ) -> Result<TaskResult, PlatformError> {
-        let enabled = self.telemetry.is_enabled();
-        let input = Snapshot::from(args.into_iter().next().unwrap_or(Value::Null));
-        let mut outputs: BTreeMap<String, Snapshot> = BTreeMap::new();
-        for (stage_index, stage) in program.stages.iter().enumerate() {
-            let width: usize = stage.iter().map(|u| u.steps.len()).sum();
-            let stage_span = if enabled {
-                let s = self
-                    .telemetry
-                    .begin_child(root, "dataflow.stage", self.now());
-                self.telemetry.attr(s, "index", stage_index as u64);
-                self.telemetry.attr(s, "parallelism", width as u64);
-                s
-            } else {
-                TraceContext::NONE
-            };
-            let mut tasks = Vec::new();
-            let mut impls: Vec<FunctionImpl> = Vec::new();
-            let mut targets: Vec<(ObjectId, String, bool)> = Vec::new();
-            let mut step_spans: Vec<TraceContext> = Vec::new();
-            let mut step_ids: Vec<&str> = Vec::new();
-            for unit in stage {
-                if unit.is_fused() {
-                    // Fused chains execute inline, before the stage's
-                    // singleton units; no data dependency can exist
-                    // between units of one stage, so order is free.
-                    self.run_fused_unit(
-                        id,
-                        class,
-                        df,
-                        &unit.steps,
-                        &input,
-                        &mut outputs,
-                        stage_span,
-                        plans,
-                    )?;
-                    continue;
-                }
-                let step = &df.steps[unit.steps[0]];
-                // Cross-object steps (§II-B extension): dispatch is
-                // polymorphic on the *target's* class.
-                let (target_id, target_class) = match &step.target {
-                    None => (id, class.to_string()),
-                    Some(r) => {
-                        let resolved_ref = DataflowSpec::resolve_ref_shared(r, &input, &outputs);
-                        let raw = resolved_ref.as_u64().ok_or_else(|| {
-                            PlatformError::Core(oprc_core::CoreError::InvalidDataflow {
-                                dataflow: df.name.clone(),
-                                reason: format!(
-                                    "step '{}' target resolved to {resolved_ref}, not an object id",
-                                    step.id
-                                ),
-                            })
-                        })?;
-                        let tid = ObjectId(raw);
-                        let tclass = self.object_class(tid)?;
-                        (tid, tclass)
-                    }
-                };
-                let target_plan = plans.get(&target_class);
-                let dispatch = match target_plan.and_then(|p| p.functions.get(&step.function)) {
-                    Some(d) => d.clone(),
-                    None => {
-                        self.registry.read().require_class(&target_class)?;
-                        return Err(PlatformError::Core(oprc_core::CoreError::UnknownFunction {
-                            class: target_class.clone(),
-                            function: step.function.clone(),
-                        }));
-                    }
-                };
-                let target_plan = target_plan.expect("dispatch resolved through the plan");
-                let step_span = if enabled {
-                    let s = self
-                        .telemetry
-                        .begin_child(stage_span, "dataflow.step", self.now());
-                    self.telemetry.attr(s, "step", step.id.as_str());
-                    self.telemetry.attr(s, "function", step.function.as_str());
-                    self.telemetry.attr(s, "target", target_id.as_u64());
-                    s
-                } else {
-                    TraceContext::NONE
-                };
-                self.route(&target_class, target_id, step_span);
-                let inputs: Vec<Value> =
-                    DataflowSpec::resolve_inputs_shared(step, &input, &outputs)
-                        .into_iter()
-                        .map(Snapshot::into_value)
-                        .collect();
-                let f = self
-                    .functions
-                    .read()
-                    .get(&dispatch.image)
-                    .ok_or_else(|| PlatformError::UnknownImage(dispatch.image.to_string()))?;
-                let mut task = {
-                    let mut sh = self.shard(target_id).lock();
-                    self.build_task(
-                        &mut sh,
-                        target_id,
-                        &target_class,
-                        target_plan,
-                        &dispatch,
-                        inputs,
-                        step_span,
-                    )?
-                };
-                task.idempotency_key = self.next_invocation.fetch_add(1, Ordering::Relaxed);
-                tasks.push(task);
-                impls.push(f);
-                targets.push((target_id, target_class, target_plan.persists));
-                step_spans.push(step_span);
-                step_ids.push(step.id.as_str());
-            }
-            // Execute-span bookkeeping stays on the platform thread, in
-            // step order, so span ids remain deterministic regardless of
-            // worker-thread scheduling.
-            let exec_spans: Vec<TraceContext> = tasks
-                .iter()
-                .map(|t| self.begin_execute_span(t, t.trace.unwrap_or(TraceContext::NONE)))
-                .collect();
-            // Parallel execution (§II-B): safe because tasks are pure.
-            let results: Vec<Result<TaskResult, TaskError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = tasks
-                    .iter()
-                    .zip(impls.iter())
-                    .map(|(t, f)| scope.spawn(move || f(t)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("function panicked"))
-                    .collect()
-            });
-            if enabled {
-                for (span, result) in exec_spans.iter().zip(&results) {
-                    if let Err(e) = result {
-                        self.telemetry.attr(*span, "error", e.to_string());
-                    }
-                    self.telemetry.end(*span, self.now());
-                }
-            }
-            // Apply effects deterministically in step order. The tasks
-            // go first: nothing re-executes them, and their `state_in`
-            // handles would force a copy at each commit.
-            let ikeys: Vec<u64> = tasks.into_iter().map(|t| t.idempotency_key).collect();
-            for ((((step_id, result), (target_id, target_class, persists)), step_span), ikey) in
-                step_ids
-                    .iter()
-                    .zip(results)
-                    .zip(targets)
-                    .zip(step_spans)
-                    .zip(ikeys)
-            {
-                let result = result?;
-                self.apply_result(
-                    &mut self.shard(target_id).lock(),
-                    target_id,
-                    &target_class,
-                    persists,
-                    &result,
-                    step_span,
-                    ikey,
-                    None,
-                )?;
-                outputs.insert((*step_id).to_string(), Snapshot::from(result.output));
-                self.telemetry.end(step_span, self.now());
-            }
-            self.telemetry.end(stage_span, self.now());
-        }
-        let out_step = df.output_step().expect("compiled dataflow has steps");
-        Ok(TaskResult::output(
-            outputs
-                .remove(out_step)
-                .map_or(Value::Null, Snapshot::into_value),
-        ))
-    }
-
-    /// Executes one fused same-object chain: one route, one shard-lock
-    /// hold, one state load, one presign set, and a *single* state
-    /// commit after every step in the chain has run. Sound because the
-    /// fusion pass only emits chains covering the complete set of
-    /// surviving self-bound steps — no other step can observe this
-    /// object's state mid-chain.
-    #[allow(clippy::too_many_arguments)]
-    fn run_fused_unit(
-        &self,
-        id: ObjectId,
-        class: &str,
-        df: &DataflowSpec,
-        steps: &[usize],
-        input: &Snapshot,
-        outputs: &mut BTreeMap<String, Snapshot>,
-        stage_span: TraceContext,
-        plans: &PlanTable,
-    ) -> Result<(), PlatformError> {
-        let enabled = self.telemetry.is_enabled();
-        let plan = plans.get(class).expect("invoking class is planned");
-        // Resolve every dispatch and implementation up front: control
-        // locks are never taken while the shard is held.
-        let mut chain: Vec<(&StepSpec, DispatchPlan, FunctionImpl)> =
-            Vec::with_capacity(steps.len());
-        for &ix in steps {
-            let step = &df.steps[ix];
-            let Some(dispatch) = plan.functions.get(&step.function).cloned() else {
-                return Err(PlatformError::Core(oprc_core::CoreError::UnknownFunction {
-                    class: class.to_string(),
-                    function: step.function.clone(),
-                }));
-            };
-            let f = self
-                .functions
-                .read()
-                .get(&dispatch.image)
-                .ok_or_else(|| PlatformError::UnknownImage(dispatch.image.to_string()))?;
-            chain.push((step, dispatch, f));
-        }
-        let fused_span = if enabled {
-            let s = self
-                .telemetry
-                .begin_child(stage_span, "dataflow.fused", self.now());
-            let ids: Vec<&str> = steps.iter().map(|&ix| df.steps[ix].id.as_str()).collect();
-            self.telemetry.attr(s, "steps", steps.len() as u64);
-            self.telemetry.attr(s, "chain", ids.join("→"));
-            s
-        } else {
-            TraceContext::NONE
-        };
-        self.route(class, id, fused_span);
-
-        let mut sh = self.shard(id).lock();
-        let key = match sh.objects.get(&id) {
-            Some(entry) => Arc::clone(&entry.storage_key),
-            None => Arc::from(storage_key(class, id).as_str()),
-        };
-        let load_span = if enabled {
-            let s = self
-                .telemetry
-                .begin_child(fused_span, "state.load", self.now());
-            self.telemetry.attr(s, "key", &*key);
-            s
-        } else {
-            TraceContext::NONE
-        };
-        let sink = self.telemetry.clone();
-        let loaded = sh.state.load_traced(self.now(), &key, &sink, load_span);
-        if enabled {
-            self.telemetry.attr(load_span, "hit", loaded.is_some());
-            self.telemetry.end(load_span, self.now());
-        }
-        let mut state = loaded.unwrap_or_else(Snapshot::object);
-        let revision = sh.objects.get(&id).map_or(0, |e| e.revision);
-        let file_keys = &plan.file_keys;
-        let presign_span = if enabled && !file_keys.is_empty() {
-            self.telemetry
-                .begin_child(fused_span, "presign", self.now())
-        } else {
-            TraceContext::NONE
-        };
-        let mut file_urls = BTreeMap::new();
-        for fk in file_keys.iter() {
-            file_urls.insert(fk.clone(), self.presign_for(class, id, fk, Method::Get)?);
-            file_urls.insert(
-                format!("{fk}:put"),
-                self.presign_for(class, id, fk, Method::Put)?,
-            );
-        }
-        if !presign_span.is_none() {
-            self.telemetry
-                .attr(presign_span, "urls", file_urls.len() as u64);
-            self.telemetry.end(presign_span, self.now());
-        }
-
-        let mut patched = false;
-        let mut files_written: Vec<(String, String)> = Vec::new();
-        for (step, dispatch, f) in &chain {
-            let args: Vec<Value> = DataflowSpec::resolve_inputs_shared(step, input, outputs)
-                .into_iter()
-                .map(Snapshot::into_value)
-                .collect();
-            let task = InvocationTask {
-                task_id: self.next_task.fetch_add(1, Ordering::Relaxed),
-                object: id,
-                impl_class: dispatch.impl_class.to_string(),
-                function: dispatch.function.to_string(),
-                image: dispatch.image.to_string(),
-                // The chain's running state: each step observes its
-                // predecessor's patch without an intervening commit.
-                state_in: state.clone(),
-                state_revision: revision,
-                args,
-                file_urls: file_urls.clone(),
-                trace: enabled.then_some(fused_span),
-                idempotency_key: self.next_invocation.fetch_add(1, Ordering::Relaxed),
-            };
-            let exec_span = self.begin_execute_span(&task, fused_span);
-            let result = f(&task).map_err(PlatformError::from);
-            // The step's handle on the running state goes before its
-            // patch is merged, so the chain copies at most once: the
-            // first patch detaches `state` from the committed version
-            // (which stays untouched until the commit — a failing step
-            // aborts the whole chain), later ones merge in place.
-            drop(task);
-            if enabled {
-                if let Err(e) = &result {
-                    self.telemetry.attr(exec_span, "error", e.to_string());
-                }
-                self.telemetry.end(exec_span, self.now());
-            }
-            let result = result?;
-            if let Some(patch) = &result.state_patch {
-                merge_patch(state.make_mut(), patch);
-                patched = true;
-            }
-            files_written.extend(
-                result
-                    .files_written
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone())),
-            );
-            outputs.insert(step.id.clone(), Snapshot::from(result.output));
-        }
-
-        // One commit for the whole chain.
-        let now = self.now();
-        let commit_span = if enabled {
-            let s = self.telemetry.begin_child(fused_span, "state.commit", now);
-            self.telemetry.attr(s, "patched", patched);
-            self.telemetry
-                .attr(s, "files_written", files_written.len() as u64);
-            self.telemetry.attr(s, "fused", true);
-            s
-        } else {
-            TraceContext::NONE
-        };
-        if patched {
-            sh.state
-                .store_traced(now, &key, state, plan.persists, &sink, commit_span);
-            if let Some(entry) = sh.objects.get_mut(&id) {
-                entry.revision += 1;
-            }
-        }
-        if !files_written.is_empty() {
-            let bucket = bucket_name(class);
-            if let Some(entry) = sh.objects.get_mut(&id) {
-                for (file_key, etag) in &files_written {
-                    entry.files.insert(
-                        file_key.clone(),
-                        FileRef {
-                            bucket: bucket.clone(),
-                            key: format!("{id}/{file_key}"),
-                            etag: Some(etag.clone()),
-                        },
-                    );
-                }
-                entry.revision += 1;
-            }
-        }
-        if enabled {
-            self.telemetry.end(commit_span, self.now());
-        }
-        drop(sh);
-        self.metrics.record_commit();
-        self.metrics.record_fused_unit();
-        if enabled {
-            self.telemetry.end(fused_span, self.now());
         }
         Ok(())
     }
@@ -2893,8 +2273,37 @@ fn storage_key(class: &str, id: ObjectId) -> String {
     format!("{class}/{id}")
 }
 
+/// The storage key of object `id`: the one its directory entry interned
+/// at creation, shared instead of re-formatted per invoke.
+fn object_key(sh: &Shard, class: &str, id: ObjectId) -> Arc<str> {
+    match sh.objects.get(&id) {
+        Some(entry) => Arc::clone(&entry.storage_key),
+        None => Arc::from(storage_key(class, id).as_str()),
+    }
+}
+
 fn bucket_name(class: &str) -> String {
     format!("oaas-{}", class.to_ascii_lowercase())
+}
+
+/// Records the files a commit wrote on the object's directory entry:
+/// one [`FileRef`] per `(file key, etag)`, in the class's bucket.
+fn record_files<'a>(
+    entry: &mut ObjectEntry,
+    id: ObjectId,
+    files_written: impl IntoIterator<Item = (&'a String, &'a String)>,
+) {
+    let bucket = bucket_name(&entry.class);
+    for (file_key, etag) in files_written {
+        entry.files.insert(
+            file_key.clone(),
+            FileRef {
+                bucket: bucket.clone(),
+                key: format!("{id}/{file_key}"),
+                etag: Some(etag.clone()),
+            },
+        );
+    }
 }
 
 /// Parses `obj-<n>/<key>` back into an object id and file key.

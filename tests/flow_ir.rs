@@ -105,7 +105,7 @@ fn fusion_off_matches_fused_semantics() {
         .invoke(id_on, "chain", vec![vjson!(5)])
         .expect("fused chain runs");
 
-    // Interpreted-shape run: same package, fusion pass disabled.
+    // One-commit-per-step reference: same package, fusion pass disabled.
     let mut p_off = chain_platform();
     p_off.set_flow_fusion(false).expect("recompiles");
     let id_off = p_off.create_object("Doc", vjson!({})).expect("creates");
@@ -211,8 +211,8 @@ fn invalid_edits_are_rejected_atomically() {
 }
 
 /// Readonly steps whose output never reaches the flow output are
-/// eliminated from the compiled plan: they run in the interpreter's
-/// world-view but not in the compiled one, and `flow doctor` says so.
+/// eliminated from the optimized program: they are in the spec (and
+/// in the plain program) but never run, and `flow doctor` says so.
 #[test]
 fn dead_readonly_step_is_eliminated_from_compiled_plan() {
     let mut p = EmbeddedPlatform::new();

@@ -1,14 +1,15 @@
 //! Property: the flow compiler is semantics-preserving. For any random
-//! DAG dataflow, running it through the optimized compiled plan
+//! DAG dataflow, running it through the optimized program
 //! (dead-stage elimination + fusion + parallel stages) produces the
 //! same flow output and the same final object state as running the
 //! identical flow with the fusion pass disabled — with the same or
-//! fewer state commits. Plus: chaos runs (which take the interpreted
-//! engine) replay byte-identically, so fusion never leaks into the
+//! fewer state commits — and so does the plain program the engine
+//! walks serially, through the retry loop, when chaos is armed. Plus:
+//! chaos runs replay byte-identically, so fusion never leaks into the
 //! deterministic fault-injection goldens.
 
 use oprc_chaos::FaultPlan;
-use oprc_core::dataflow::{DataflowSpec, StepSpec};
+use oprc_core::dataflow::{DataRef, DataflowSpec, StepSpec};
 use oprc_core::invocation::TaskResult;
 use oprc_platform::embedded::EmbeddedPlatform;
 use oprc_telemetry::TelemetryConfig;
@@ -66,9 +67,9 @@ fn platform_with(df: &DataflowSpec, fuse: bool) -> EmbeddedPlatform {
             step.inputs
                 .iter()
                 .map(|r| match r {
-                    oprc_core::dataflow::DataRef::Input => "input".to_string(),
-                    oprc_core::dataflow::DataRef::Step { step, .. } => format!("\"step:{step}\""),
-                    oprc_core::dataflow::DataRef::Const(_) => unreachable!("not generated"),
+                    DataRef::Input => "input".to_string(),
+                    DataRef::Step { step, .. } => format!("\"step:{step}\""),
+                    DataRef::Const(_) => unreachable!("not generated"),
                 })
                 .collect::<Vec<_>>()
                 .join(", ")
@@ -92,27 +93,63 @@ fn run(p: &EmbeddedPlatform, arg: i64) -> (Value, Value, u64) {
     (out.output, p.get_state(id).expect("state"), commits)
 }
 
+/// What a serial walk leaves in `n`: every step's output, each added
+/// to the state its predecessor committed. (Declaration order is
+/// topological: step `i` depends on earlier steps only.)
+fn serial_sum(df: &DataflowSpec, arg: i64) -> i64 {
+    let mut outs: std::collections::BTreeMap<&str, i64> = Default::default();
+    for step in &df.steps {
+        let args: i64 = step
+            .inputs
+            .iter()
+            .map(|r| match r {
+                DataRef::Input => arg,
+                DataRef::Step { step, .. } => outs[step.as_str()],
+                DataRef::Const(_) => unreachable!("not generated"),
+            })
+            .sum();
+        outs.insert(&step.id, args + 1);
+    }
+    outs.values().sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Compiled-optimized ≡ fusion-disabled: same output, same final
-    /// state, never more commits.
+    /// Optimized ≡ fusion-disabled ≡ plain-under-chaos: same output,
+    /// same final state; the optimizer never adds commits, and the plain
+    /// program commits exactly once per step. One caveat on state: the
+    /// steps of a parallel stage all read the pre-stage state, while the
+    /// serial walk commits between them — `f` adds to the `n` it read,
+    /// so the plain arm's state equals the others' only on flows whose
+    /// stages are one step wide, and [`serial_sum`] everywhere.
     #[test]
     fn optimized_flow_equals_interpreted(df in arb_dataflow(), arg in -100i64..100) {
         let p_on = platform_with(&df, true);
         let p_off = platform_with(&df, false);
+        // Chaos armed at rate 0 injects nothing, but sends the flow down
+        // the plain program, one step at a time through the retry loop.
+        let mut p_plain = platform_with(&df, true);
+        p_plain.enable_chaos(FaultPlan::new(7).rate_all(0.0));
         let (out_on, state_on, commits_on) = run(&p_on, arg);
         let (out_off, state_off, commits_off) = run(&p_off, arg);
-        prop_assert_eq!(out_on, out_off);
-        prop_assert_eq!(state_on, state_off);
+        let (out_plain, state_plain, commits_plain) = run(&p_plain, arg);
+        prop_assert_eq!(&out_on, &out_off);
+        prop_assert_eq!(&state_on, &state_off);
         prop_assert!(
             commits_on <= commits_off,
             "optimizer added commits: {} > {}", commits_on, commits_off
         );
+        prop_assert_eq!(out_plain, out_off);
+        prop_assert_eq!(commits_plain, df.steps.len() as u64);
+        prop_assert_eq!(state_plain["n"].as_i64(), Some(serial_sum(&df, arg)));
+        if df.try_stages().expect("acyclic").iter().all(|stage| stage.len() == 1) {
+            prop_assert_eq!(state_plain, state_off);
+        }
     }
 }
 
-/// Chaos runs route through the interpreted engine, so seeded fault
+/// Chaos runs walk the plain program serially, so seeded fault
 /// injection over a fusable chain stays byte-for-byte reproducible.
 #[test]
 fn seeded_chaos_replay_is_byte_identical() {

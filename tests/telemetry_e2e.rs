@@ -3,9 +3,10 @@
 //! `dataflow.stage` spans matching the dataflow's DAG stages,
 //! `route`/`state.load`/`engine.execute`/`state.commit` under every
 //! step, correct parent links, non-decreasing timestamps — and the same
-//! platform built twice must export byte-identical JSONL.
+//! platform built twice must export byte-identical JSONL. A flow that
+//! fails exports its spans too, the failing step marked.
 
-use oprc_core::invocation::TaskResult;
+use oprc_core::invocation::{TaskError, TaskResult};
 use oprc_platform::embedded::EmbeddedPlatform;
 use oprc_telemetry::{Span, TelemetryConfig};
 use oprc_value::{vjson, Value};
@@ -37,9 +38,10 @@ classes:
             inputs: [\"step:a\", \"step:b\"]
 ";
 
-/// Builds the platform, runs one `fanin` invocation under tracing, and
-/// returns it. Every function patches state so `state.commit` has work.
-fn traced_run() -> EmbeddedPlatform {
+/// A traced platform with `PACKAGE` deployed. Every function patches
+/// state so `state.commit` has work; with `merge_fails`, the second
+/// stage's function returns an application error instead.
+fn traced_platform(merge_fails: bool) -> EmbeddedPlatform {
     let mut p = EmbeddedPlatform::new();
     p.enable_telemetry(TelemetryConfig::default());
     p.register_function("img/fa", |t| {
@@ -50,12 +52,22 @@ fn traced_run() -> EmbeddedPlatform {
         let x = t.args.first().and_then(Value::as_i64).unwrap_or(0);
         Ok(TaskResult::output(x + 1).with_patch(vjson!({"b": (x + 1)})))
     });
-    p.register_function("img/fmerge", |t| {
+    p.register_function("img/fmerge", move |t| {
+        if merge_fails {
+            return Err(TaskError::Application("merge refused".into()));
+        }
         let a = t.args.first().and_then(Value::as_i64).unwrap_or(0);
         let b = t.args.get(1).and_then(Value::as_i64).unwrap_or(0);
         Ok(TaskResult::output(a + b).with_patch(vjson!({"merged": (a + b)})))
     });
     p.deploy_yaml(PACKAGE).expect("package deploys");
+    p
+}
+
+/// Builds the platform, runs one `fanin` invocation under tracing, and
+/// returns it.
+fn traced_run() -> EmbeddedPlatform {
+    let p = traced_platform(false);
     let id = p.create_object("Doc", vjson!({})).expect("creates");
     let out = p
         .invoke(id, "fanin", vec![vjson!(5)])
@@ -181,5 +193,49 @@ fn direct_invocation_has_flat_execute_chain() {
     assert_eq!(
         kids,
         vec!["route", "state.load", "engine.execute", "state.commit"]
+    );
+}
+
+#[test]
+fn failed_flow_exports_its_spans_with_the_failing_step_marked() {
+    let p = traced_platform(true);
+    let id = p.create_object("Doc", vjson!({})).expect("creates");
+    let err = p.invoke(id, "fanin", vec![vjson!(5)]).unwrap_err();
+    assert!(err.to_string().contains("merge refused"), "{err}");
+
+    let spans = p.telemetry().finished();
+    let root = spans
+        .iter()
+        .find(|s| s.name == "invoke")
+        .expect("the failed invoke's root is exported");
+    assert!(root.attrs["outcome"]
+        .as_str()
+        .is_some_and(|o| o.starts_with("error")));
+
+    // Both stages are exported under the root: the one that ran clean
+    // and the one whose step failed.
+    let stages: Vec<&Span> = children_of(&spans, root.id)
+        .into_iter()
+        .filter(|s| s.name == "dataflow.stage")
+        .collect();
+    assert_eq!(stages.len(), 2, "one span per stage the flow entered");
+    let steps_of = |stage: &Span| -> Vec<&Span> {
+        children_of(&spans, stage.id)
+            .into_iter()
+            .filter(|s| s.name == "dataflow.step")
+            .collect()
+    };
+    let first = steps_of(stages[0]);
+    assert_eq!(first.len(), 2);
+    assert!(first.iter().all(|s| s.attrs.get("error").is_none()));
+    let second = steps_of(stages[1]);
+    assert_eq!(second.len(), 1);
+    assert_eq!(second[0].attrs["step"].as_str(), Some("merge"));
+    assert!(
+        second[0].attrs["error"]
+            .as_str()
+            .is_some_and(|e| e.contains("merge refused")),
+        "the failing step carries the error: {:?}",
+        second[0].attrs
     );
 }
