@@ -1,9 +1,10 @@
 //! Cluster topology: zones, regions, and network latency.
 //!
 //! The paper's future work (§VI) targets multi-datacenter deployment with
-//! latency and jurisdiction requirements; `oprc-platform::multiregion`
-//! builds on this model. Within the Fig. 3 experiment a single region with
-//! one zone is used and only the intra-zone RTT matters.
+//! latency and jurisdiction requirements; this model is where such
+//! placement would get its latencies. Within the Fig. 3 experiment a
+//! single region with one zone is used and only the intra-zone RTT
+//! matters.
 
 use std::collections::BTreeMap;
 

@@ -4,7 +4,7 @@
 //! The paper treats a class's non-functional requirements as inputs to
 //! the platform's monitoring-feedback loop. This module makes the
 //! contract explicit: an [`Slo`] is the *monitored obligation* form of
-//! an [`NfrSpec`](crate::nfr::NfrSpec) — an availability target becomes
+//! an [`NfrSpec`] — an availability target becomes
 //! an **error budget** (the fraction of requests allowed to fail), and
 //! a latency QoS becomes a **p99 objective**. Burn-rate math follows
 //! the Google-SRE multi-window scheme: the *burn rate* is how many

@@ -17,7 +17,7 @@
 //! The invocation plane takes `&self`: N worker threads may drive
 //! [`EmbeddedPlatform::invoke`] (and `get_state`, presigned-URL issue,
 //! uploads) concurrently on one shared platform. Object state is split
-//! into shards keyed by [`ObjectId`] hash (see [`shard`]): invocations
+//! into shards keyed by [`ObjectId`] hash (see `shard.rs`): invocations
 //! on objects in different shards never contend, while two invocations
 //! racing on the *same* object serialize on its shard lock — which is
 //! held across the whole retry loop, preserving the exactly-once commit
@@ -85,9 +85,8 @@ use shard::{shard_index, ObjectEntry, Shard, ShardHandle};
 /// Presigned URLs issued by the embedded platform live this long.
 const URL_TTL: SimDuration = SimDuration::from_secs(900);
 
-/// DHT members mirrored into the routing ring — must match
-/// [`StateLayer::with_defaults`] so `primary(key)` answers identically
-/// for routing and for every shard's storage stack.
+/// Members of the instance-routing ring: the class-runtime instances an
+/// [`ObjectRouter`] picks an owner among (by the object's `obj-N` name).
 const ROUTING_MEMBERS: u64 = 4;
 
 #[derive(Debug)]
@@ -335,8 +334,8 @@ pub struct EmbeddedPlatform {
     /// Sharded object state: directory entries, per-shard storage
     /// stacks, and in-flight commit records (see [`shard`]).
     shards: Box<[ShardHandle]>,
-    /// Routing ring: mirrors every shard's DHT membership so
-    /// `primary(key)` is answered without touching any shard lock.
+    /// Instance-routing ring: `primary(obj-N)` names the owning
+    /// class-runtime instance, answered without touching any shard lock.
     routing: Dht,
     // -- Shared leaf services (internally synchronized) --
     s3: S3Gateway,
@@ -2075,12 +2074,13 @@ impl EmbeddedPlatform {
             .sum()
     }
 
-    /// Storage-stack counters summed across shards: `(dht puts,
-    /// consolidated updates, db batch writes, db single writes)`.
+    /// Storage-stack counters summed across shards: `(hot-tier puts,
+    /// consolidated updates, db batch writes, db single writes)`. An
+    /// observability read: the shard locks it takes are not counted.
     pub fn storage_stats(&self) -> (u64, u64, u64, u64) {
         let mut total = (0, 0, 0, 0);
         for shard in &self.shards {
-            let (a, b, c, d) = shard.lock().state.stats();
+            let (a, b, c, d) = shard.observe(|sh| sh.state.stats());
             total.0 += a;
             total.1 += b;
             total.2 += c;
@@ -2231,9 +2231,12 @@ impl EmbeddedPlatform {
                     files.insert(name.clone(), FileRef { bucket, key, etag });
                 }
             }
+            // State at rest is normalized, whichever way it arrived.
+            let mut state = doc["state"].clone();
+            merge::normalize(&mut state);
             let mut sh = self.shard(id).lock();
             sh.state
-                .store(now, &storage_key(&class, id), doc["state"].clone(), persist);
+                .store(now, &storage_key(&class, id), state, persist);
             sh.objects.insert(
                 id,
                 ObjectEntry {

@@ -171,10 +171,6 @@ pub struct PartitionSummary {
     pub nodes: usize,
     /// Records re-homed by all migrations so far.
     pub moved_records: u64,
-    /// Records the per-shard storage DHTs moved during their own
-    /// rebalances (the Infinispan-level counter, distinct from the
-    /// node-level one above).
-    pub dht_moved_records: u64,
 }
 
 /// Where one object lives, from
@@ -423,19 +419,15 @@ impl EmbeddedPlatform {
             .collect()
     }
 
-    /// The partition plane's aggregate posture.
+    /// The partition plane's aggregate posture, read from one table
+    /// snapshot without touching any shard lock.
     pub fn partition_summary(&self) -> PartitionSummary {
         let table = Arc::clone(&self.nodes.read());
-        let mut dht_moved = self.routing.moved_records();
-        for handle in &self.shards {
-            dht_moved += handle.lock().state.dht().moved_records();
-        }
         PartitionSummary {
             epoch: table.map.epoch(),
             partitions: table.map.partition_count(),
             nodes: table.ready.len(),
             moved_records: self.moved_records.load(Ordering::Relaxed),
-            dht_moved_records: dht_moved,
         }
     }
 

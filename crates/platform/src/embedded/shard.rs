@@ -7,11 +7,11 @@
 //! invocations racing on the *same* object serialize on its shard —
 //! preserving the exactly-once commit semantics of the retry loop.
 //!
-//! Every shard owns a full [`StateLayer`] (DHT partition → write-behind
-//! buffer → persistent DB), so flushing shard A's write-behind batches
-//! never blocks invokes on shard B. Ring membership is mirrored across
-//! shards: `primary(key)` answers identically everywhere, which keeps
-//! locality routing decisions independent of the shard map.
+//! Every shard owns a full [`StateLayer`] (hot tier → write-behind
+//! buffer → persistent DB) for the objects it homes, so flushing shard
+//! A's write-behind batches never blocks invokes on shard B. Which node
+//! owns an object is not a shard's concern: the node plane's partition
+//! map answers that without touching any shard lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,11 +139,18 @@ impl ShardHandle {
         )
     }
 
-    /// A point-in-time stats snapshot. Locks the slot directly (not via
-    /// [`ShardHandle::lock`]) so observability reads don't count as
-    /// invocation lock traffic.
+    /// Runs `f` on the locked shard without counting the acquisition:
+    /// observability reads are not invocation lock traffic, so reading
+    /// the counters never moves them.
+    pub(super) fn observe<R>(&self, f: impl FnOnce(&Shard) -> R) -> R {
+        let _token = TierToken::acquire(Tier::Shard);
+        f(&self.slot.lock())
+    }
+
+    /// A point-in-time stats snapshot (an uncounted
+    /// [`ShardHandle::observe`]).
     pub(super) fn stats(&self, shard: usize) -> ShardStats {
-        let objects = self.slot.lock().objects.len();
+        let objects = self.observe(|sh| sh.objects.len());
         let (acquisitions, contended) = self.counters();
         ShardStats {
             shard,

@@ -1,27 +1,30 @@
 //! The embedded platform's storage stack.
 //!
-//! Mirrors Oparaca's tiered design: hot structured state in the
-//! distributed in-memory hash table, consolidated by the write-behind
-//! buffer into batched writes against the persistent database (§V), and
-//! unstructured state in the S3-like object store. `StateLayer` is the
-//! single owner; the execution plane never touches the stores directly.
+//! Mirrors Oparaca's tiered design (§V): hot structured state in memory,
+//! consolidated by the write-behind buffer into batched writes against
+//! the persistent database, and unstructured state in the S3-like object
+//! store. `StateLayer` is the single owner; the execution plane never
+//! touches the stores directly.
 //!
-//! Since the sharded concurrency refactor (DESIGN.md §12) the platform
-//! holds one `StateLayer` **per shard**, each covering its slice of the
-//! keyspace. All methods take `&mut self` — exclusivity is provided by
-//! the owning shard's lock — and write-behind flushing is driven
-//! through the shard handle, so a due flush on one shard never blocks
-//! invocations touching any other shard.
+//! The platform holds one `StateLayer` **per shard** (DESIGN.md §12),
+//! each covering its slice of the keyspace. The paper's DHT is split
+//! between two owners: which node owns and replicates a record is the
+//! node plane's [`oprc_store::PartitionMap`], and the in-node hot tier is
+//! this layer's one map from storage key to [`Snapshot`] — one slot per
+//! record. All methods take `&mut self` — exclusivity is provided by the
+//! owning shard's lock — and write-behind flushing is driven through the
+//! shard handle, so a due flush on one shard never blocks invocations
+//! touching any other shard.
+
+use std::collections::BTreeMap;
 
 use oprc_simcore::SimTime;
-use oprc_store::{
-    Dht, DhtConfig, DhtNodeId, PersistentDb, PersistentDbConfig, WriteBehindBuffer,
-    WriteBehindConfig,
-};
+use oprc_store::{PersistentDb, PersistentDbConfig, WriteBehindBuffer, WriteBehindConfig};
 use oprc_telemetry::{TraceContext, TraceSink};
 use oprc_value::{vjson, Snapshot, Value};
 
-/// Tiered structured-state storage: DHT → write-behind → persistent DB.
+/// Tiered structured-state storage: hot tier → write-behind → persistent
+/// DB.
 ///
 /// Whether a record is written through to the durable tier is decided
 /// *per write* by the caller — each class runtime's template dictates
@@ -29,48 +32,32 @@ use oprc_value::{vjson, Snapshot, Value};
 /// entirely).
 #[derive(Debug)]
 pub struct StateLayer {
-    dht: Dht,
+    /// The hot tier: storage key → the record's one in-memory slot.
+    hot: BTreeMap<String, Snapshot>,
+    /// Hot-tier writes: stores and cold re-warms.
+    puts: u64,
     buffer: WriteBehindBuffer,
     db: PersistentDb,
 }
 
 impl StateLayer {
-    /// Creates the stack with `members` DHT instances.
-    pub fn new(
-        members: u64,
-        dht_cfg: DhtConfig,
-        wb_cfg: WriteBehindConfig,
-        db_cfg: PersistentDbConfig,
-    ) -> Self {
-        let mut dht = Dht::new(dht_cfg);
-        for m in 0..members.max(1) {
-            dht.join(DhtNodeId(m));
-        }
+    /// Creates an empty stack.
+    pub fn new(wb_cfg: WriteBehindConfig, db_cfg: PersistentDbConfig) -> Self {
         StateLayer {
-            dht,
+            hot: BTreeMap::new(),
+            puts: 0,
             buffer: WriteBehindBuffer::new(wb_cfg),
             db: PersistentDb::new(db_cfg),
         }
     }
 
-    /// A stack with library defaults (4 members).
+    /// A stack with library defaults.
     pub fn with_defaults() -> Self {
-        StateLayer::new(
-            4,
-            DhtConfig::default(),
-            WriteBehindConfig::default(),
-            PersistentDbConfig::default(),
-        )
+        StateLayer::new(WriteBehindConfig::default(), PersistentDbConfig::default())
     }
 
-    /// The DHT (for routing decisions).
-    pub fn dht(&self) -> &Dht {
-        &self.dht
-    }
-
-    /// Reads structured state: DHT first, falling back to the DB
-    /// (cache-miss path after restart). `Null` in the DB is a deletion
-    /// tombstone and reads as absent.
+    /// Reads structured state: hot tier first, falling back to the DB
+    /// (cache-miss path after restart).
     pub fn load(&mut self, key: &str) -> Option<Snapshot> {
         self.load_traced(
             SimTime::ZERO,
@@ -82,8 +69,8 @@ impl StateLayer {
 
     /// [`StateLayer::load`] with tracing: at
     /// [`oprc_telemetry::TelemetryLevel::Verbose`] each tier probe is a
-    /// `kv.get` child span of `parent` recording the tier (`dht`/`db`)
-    /// and whether it hit.
+    /// `kv.get` child span of `parent` recording the tier (`dht` for the
+    /// hot tier, `db`) and whether it hit.
     pub fn load_traced(
         &mut self,
         now: SimTime,
@@ -102,23 +89,23 @@ impl StateLayer {
                 );
             }
         };
-        if let Some(v) = self.dht.get(key) {
+        if let Some(v) = self.hot.get(key) {
             trace_get("dht", true);
-            return Some(v);
+            return Some(v.clone());
         }
         trace_get("dht", false);
-        let from_db = self.db.get(key).filter(|v| !v.is_null());
+        let from_db = self.db.get(key);
         trace_get("db", from_db.is_some());
         let from_db = from_db?;
-        // Re-warm the DHT (a refcount bump: the DHT shares the durable
+        // Re-warm the hot tier (a refcount bump: it shares the durable
         // tier's snapshot until the next commit copies it).
-        let _ = self.dht.put(key, from_db.clone());
+        self.put(key, from_db.clone());
         Some(from_db)
     }
 
-    /// Writes structured state at `now`: into the DHT immediately and,
-    /// when `persist` is set (the class runtime's template decision),
-    /// into the write-behind buffer.
+    /// Writes structured state at `now`: into the hot tier immediately
+    /// and, when `persist` is set (the class runtime's template
+    /// decision), into the write-behind buffer.
     pub fn store(&mut self, now: SimTime, key: &str, value: impl Into<Snapshot>, persist: bool) {
         self.store_traced(
             now,
@@ -151,13 +138,25 @@ impl StateLayer {
                 now,
             );
         }
-        // Both tiers share one allocation: the DHT's replica copies and
-        // the write-behind record are refcount bumps on the same
-        // snapshot, not deep clones.
+        // Both tiers share one allocation: the hot slot and the
+        // write-behind record are refcount bumps on the same snapshot,
+        // not deep clones.
         let value = value.into();
-        let _ = self.dht.put(key, value.clone());
+        self.put(key, value.clone());
         if persist {
             self.buffer.offer(now, key, value);
+        }
+    }
+
+    /// Fills `key`'s hot slot and counts the put. An overwrite reuses
+    /// the slot; only a first insert allocates the key.
+    fn put(&mut self, key: &str, value: Snapshot) {
+        self.puts += 1;
+        match self.hot.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => {
+                self.hot.insert(key.to_string(), value);
+            }
         }
     }
 
@@ -167,47 +166,33 @@ impl StateLayer {
     ///
     /// `&mut self` is the caller's shard lock, so nobody can read the
     /// tiers meanwhile — that is the exclusivity. The layer releases its
-    /// own handles on the record (every DHT replica slot, the pending
-    /// write-behind entry) and takes the caller's (`held`, by value),
-    /// runs `f` on what is now the only handle through
-    /// [`Snapshot::make_mut`], and re-fills the same slots before it
-    /// returns. A handle nobody gave up — a task still holding its
-    /// `state_in`, the flushed version in the durable tier — makes
-    /// `make_mut` copy as it always has, so outsiders never see the
-    /// write; the first commit after a flush pays that copy once. `f`
-    /// must not fail or run user code: while it runs the slots hold a
-    /// placeholder.
+    /// own handles on the record (the hot slot, the pending write-behind
+    /// entry) and takes the caller's (`held`, by value), runs `f` on
+    /// what is now the only handle through [`Snapshot::make_mut`], and
+    /// re-fills the same slots before it returns. A handle nobody gave
+    /// up — a task still holding its `state_in`, the flushed version in
+    /// the durable tier — makes `make_mut` copy as it always has, so
+    /// outsiders never see the write; the first commit after a flush
+    /// pays that copy once. `f` must not fail or run user code: while it
+    /// runs the slots hold a placeholder.
     ///
     /// Not a `load` or a `store`: no counter, trace event or
     /// write-behind offer moves, and no slot is created. A record the
-    /// DHT does not hold (a non-persistent or never-flushed object
+    /// hot tier does not hold (a non-persistent or never-flushed object
     /// after memory loss) continues from `held`, so the caller's running
     /// state carries it until its [`StateLayer::store_traced`].
     pub fn modify(&mut self, key: &str, held: Snapshot, f: impl FnOnce(&mut Value)) -> Snapshot {
-        let mut state = None;
-        self.dht.for_each_slot(key, |slot| {
-            let released = std::mem::take(slot);
-            state.get_or_insert(released);
-        });
-        if let Some(pending) = self.buffer.pending_mut(key) {
+        let mut slot = self.hot.get_mut(key);
+        let mut pending = self.buffer.pending_mut(key);
+        if let Some(pending) = pending.as_deref_mut() {
             *pending = Snapshot::default();
         }
-        let mut state = state.unwrap_or(held);
+        let mut state = slot.as_deref_mut().map_or(held, std::mem::take);
         f(state.make_mut());
-        self.dht.for_each_slot(key, |slot| *slot = state.clone());
-        if let Some(pending) = self.buffer.pending_mut(key) {
-            *pending = state.clone();
+        for refill in slot.into_iter().chain(pending) {
+            *refill = state.clone();
         }
         state
-    }
-
-    /// Deletes a record everywhere.
-    pub fn delete(&mut self, now: SimTime, key: &str, persist: bool) {
-        self.dht.delete(key);
-        if persist {
-            // A null tombstone batched to the DB.
-            self.buffer.offer(now, key, Value::Null);
-        }
     }
 
     /// Flushes due write-behind batches into the DB; returns the number
@@ -250,15 +235,11 @@ impl StateLayer {
         n
     }
 
-    /// Drops all in-memory copies (simulating instance restart) so reads
-    /// must hit the DB.
+    /// Drops the hot tier (simulating instance restart) so reads must
+    /// hit the DB. The restarted tier counts its puts from zero.
     pub fn clear_memory(&mut self) {
-        let members = self.dht.members();
-        let cfg = self.dht.config().clone();
-        self.dht = Dht::new(cfg);
-        for m in members {
-            self.dht.join(m);
-        }
+        self.hot.clear();
+        self.puts = 0;
     }
 
     /// Direct read from the durable tier (diagnostics/tests).
@@ -266,12 +247,12 @@ impl StateLayer {
         self.db.get(key).map(|v| v.value().clone())
     }
 
-    /// `(dht puts, buffer consolidated, db batch writes, db single
+    /// `(hot-tier puts, buffer consolidated, db batch writes, db single
     /// writes)` counters.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
         let db = self.db.stats();
         (
-            self.dht.puts(),
+            self.puts,
             self.buffer.consolidated(),
             db.batch_writes,
             db.single_writes,
@@ -286,11 +267,6 @@ mod tests {
 
     fn layer() -> StateLayer {
         StateLayer::new(
-            2,
-            DhtConfig {
-                replication: 1,
-                vnodes: 16,
-            },
             WriteBehindConfig {
                 max_batch: 3,
                 max_delay: oprc_simcore::SimDuration::from_millis(10),
@@ -315,8 +291,12 @@ mod tests {
         s.flush_all(SimTime::ZERO);
         assert_eq!(s.durable_get("k").unwrap()["v"].as_i64(), Some(7));
         s.clear_memory();
-        // Read falls back to DB and re-warms.
+        assert_eq!(s.stats().0, 0, "the restarted tier counts from zero");
+        // Read falls back to DB and re-warms: one put, then a hot hit.
         assert_eq!(s.load("k").unwrap()["v"].as_i64(), Some(7));
+        assert_eq!(s.stats().0, 1);
+        assert_eq!(s.load("k").unwrap()["v"].as_i64(), Some(7));
+        assert_eq!(s.stats().0, 1);
     }
 
     #[test]
@@ -354,8 +334,8 @@ mod tests {
         for _ in 0..5 {
             s.store(SimTime::ZERO, "hot", vjson!(1), true);
         }
-        let (_, consolidated, _, _) = s.stats();
-        assert_eq!(consolidated, 4);
+        let (puts, consolidated, _, _) = s.stats();
+        assert_eq!((puts, consolidated), (5, 4));
     }
 
     fn set_n(n: i64) -> impl FnOnce(&mut Value) {
@@ -370,26 +350,25 @@ mod tests {
 
     #[test]
     fn modify_is_in_place_when_only_the_tiers_hold_the_record() {
-        // Two replicas and a pending write-behind entry share the value.
+        // The hot slot and a pending write-behind entry share the value.
         let mut s = StateLayer::with_defaults();
         s.store(SimTime::ZERO, "a", vjson!({"n": 0}), true);
         s.store(SimTime::ZERO, "b", vjson!({"n": 0}), true);
         let before = address(&mut s, "a");
         let stats = s.stats();
         let held = s.load("a").unwrap();
-        let gets = s.dht().gets();
         let out = s.modify("a", held, set_n(1));
         assert!(std::ptr::eq(before, out.value()), "no copy was needed");
-        // Not a load, a store or an offer.
-        assert_eq!((s.stats(), s.dht().gets()), (stats, gets));
+        // Not a store or an offer.
+        assert_eq!(s.stats(), stats);
         drop(out);
         // Every slot was re-filled with the one mutated allocation: the
-        // primary, the replica (read after the primary leaves), and the
-        // pending entry (read after a flush, in first-dirty order).
-        assert!(std::ptr::eq(before, address(&mut s, "a")));
-        let mut replica = s.dht().clone();
-        replica.leave(replica.primary("a").unwrap());
-        assert!(std::ptr::eq(before, replica.get("a").unwrap().value()));
+        // hot slot and the pending entry (read after a flush, in
+        // first-dirty order) — and nothing else holds it.
+        let hot = s.load("a").unwrap();
+        assert!(std::ptr::eq(before, hot.value()));
+        assert_eq!(Snapshot::ref_count(&hot), 3, "hot slot, pending, `hot`");
+        drop(hot);
         let batch = s.buffer.drain(usize::MAX);
         let keys: Vec<&str> = batch.records.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["a", "b"]);
@@ -482,17 +461,5 @@ mod tests {
             TraceContext::NONE,
         );
         assert!(quiet.finished().is_empty());
-    }
-
-    #[test]
-    fn delete_removes_everywhere() {
-        let mut s = layer();
-        s.store(SimTime::ZERO, "k", vjson!(1), true);
-        s.flush_all(SimTime::ZERO);
-        s.delete(SimTime::ZERO, "k", true);
-        s.flush_all(SimTime::ZERO);
-        assert_eq!(s.load("k"), None);
-        // Tombstone overwrote the durable copy.
-        assert!(s.durable_get("k").is_none_or(|v| v.is_null()));
     }
 }

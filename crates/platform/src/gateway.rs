@@ -526,7 +526,6 @@ impl OprcCtl {
             "partitions": (summary.partitions as u64),
             "nodes": (summary.nodes as u64),
             "moved_records": (summary.moved_records),
-            "dht_moved_records": (summary.dht_moved_records),
         });
         let value = oprc_value::vjson!({
             "functions": (Value::from(functions)),
@@ -1214,7 +1213,6 @@ impl OprcCtl {
             "partitions": (s.partitions as u64),
             "nodes": (s.nodes as u64),
             "moved_records": (s.moved_records),
-            "dht_moved_records": (s.dht_moved_records),
         });
         if as_json {
             return Ok(CommandOutput::with_value(
@@ -1224,8 +1222,8 @@ impl OprcCtl {
         }
         Ok(CommandOutput::with_value(
             format!(
-                "epoch {}: {} partitions over {} nodes, {} records migrated ({} dht-level)",
-                s.epoch, s.partitions, s.nodes, s.moved_records, s.dht_moved_records
+                "epoch {}: {} partitions over {} nodes, {} records migrated",
+                s.epoch, s.partitions, s.nodes, s.moved_records
             ),
             value,
         ))
@@ -2035,6 +2033,32 @@ mod tests {
         let text = ctl.execute("metrics").unwrap().text;
         assert!(text.contains("RETRIES"), "{text}");
         assert!(text.contains("BREAKER"), "{text}");
+    }
+
+    /// Observability reads are not invocation lock traffic: reading the
+    /// shard counters (or the storage counters behind the same locks)
+    /// never moves them.
+    #[test]
+    fn observability_reads_leave_shard_counters_alone() {
+        let mut ctl = ctl();
+        ctl.execute("create Counter").unwrap();
+        ctl.execute("invoke 0 incr").unwrap();
+        let acquisitions = |v: &Value| -> Vec<u64> {
+            v["shards"]
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|s| s["acquisitions"].as_u64().unwrap())
+                .collect()
+        };
+        let first = ctl.execute("metrics --json").unwrap().value.unwrap();
+        let second = ctl.execute("metrics --json").unwrap().value.unwrap();
+        assert_eq!(acquisitions(&first), acquisitions(&second));
+        let shards = ctl.platform().shard_stats();
+        let _ = ctl.platform().storage_stats();
+        ctl.execute("stats").unwrap();
+        ctl.execute("partitions --json").unwrap();
+        assert_eq!(ctl.platform().shard_stats(), shards);
     }
 
     /// The cluster/partitions commands drive node lifecycle end to end:

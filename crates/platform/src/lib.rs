@@ -5,10 +5,10 @@
 //!
 //! - [`embedded`] — a real, in-process platform: deploy YAML packages,
 //!   create objects, register Rust closures as function implementations,
-//!   and invoke methods/dataflows against real state (DHT, write-behind
-//!   buffer, persistent DB, and an S3-like object store with presigned
-//!   URLs). This is what the examples and integration tests drive,
-//!   mirroring the tutorial flow of §IV.
+//!   and invoke methods/dataflows against real state (in-memory hot
+//!   tier, write-behind buffer, persistent DB, and an S3-like object
+//!   store with presigned URLs). This is what the examples and
+//!   integration tests drive, mirroring the tutorial flow of §IV.
 //! - [`sim`] — a deterministic discrete-event harness reproducing the
 //!   paper's scalability evaluation (§V, Fig. 3): the same control-plane
 //!   policies driving modelled VMs, FaaS engines, and a write-budgeted
@@ -17,9 +17,7 @@
 //! Supporting modules: [`registry`] (deployed packages),
 //! [`deployer`] (template selection → class-runtime specs), [`router`]
 //! (object → partition routing with data locality), [`monitoring`]
-//! (metrics hub + requirement-driven controller), and [`multiregion`]
-//! (the §VI future-work extension: jurisdiction- and latency-aware
-//! multi-datacenter placement).
+//! (metrics hub + requirement-driven controller).
 //!
 //! # Examples
 //!
@@ -63,7 +61,6 @@ pub mod deployer;
 pub mod embedded;
 pub mod gateway;
 pub mod monitoring;
-pub mod multiregion;
 pub mod registry;
 pub mod router;
 pub mod sim;

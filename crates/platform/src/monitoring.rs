@@ -22,7 +22,7 @@
 //! are folded into the series maps (totals + windows) on
 //! [`MetricsHub::flush_samples`] — called by the platform `tick` and
 //! lazily by every read API, so views are always coherent. A stripe
-//! that grows past [`STRIPE_SELF_FLUSH`] flushes itself, bounding
+//! that grows past `STRIPE_SELF_FLUSH` samples flushes itself, bounding
 //! memory even if no tick ever runs.
 //!
 //! # Cardinality bound

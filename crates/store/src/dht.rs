@@ -1,12 +1,19 @@
-//! The distributed in-memory hash table.
+//! A replicated, consistent-hashed in-memory table.
 //!
 //! Oparaca's class runtimes keep hot object state in a distributed
 //! in-memory hash table (Infinispan in the real system) and "consolidate
 //! data for batch write operations" to the database (paper §V). `Dht`
-//! models the table itself: membership via a consistent-hash ring,
-//! per-member in-memory partitions, synchronous replication to the next
-//! `replication - 1` distinct members, and deterministic rebalancing on
-//! membership changes.
+//! models such a table as a standalone unit: membership via a
+//! consistent-hash ring, per-member in-memory partitions, synchronous
+//! replication to the next `replication - 1` distinct members, and
+//! deterministic rebalancing on membership changes.
+//!
+//! The embedded platform splits that job instead of running this type
+//! as its store: node ownership and replicas are the
+//! [`crate::PartitionMap`], and each state shard keeps its hot records in
+//! one slot per record. What uses `Dht` is the instance-routing ring
+//! (`primary(key)` names the owning class-runtime instance) and the
+//! member-loss experiments that exercise replication itself.
 //!
 //! Durability is *not* this type's job — pair it with
 //! [`crate::WriteBehindBuffer`] and [`crate::PersistentDb`].
@@ -322,18 +329,6 @@ impl Dht {
         }
     }
 
-    /// Visits `key`'s slot on every replica member that holds it,
-    /// primary first, so a caller with exclusive access to the table
-    /// can release and re-fill the replicas' handles without touching
-    /// the maps. Counts as neither a `get` nor a `put`.
-    pub fn for_each_slot(&mut self, key: &str, mut f: impl FnMut(&mut Snapshot)) {
-        for owner in self.owners(key) {
-            if let Some(slot) = self.partitions.get_mut(&owner).and_then(|p| p.get_mut(key)) {
-                f(slot);
-            }
-        }
-    }
-
     /// Reads `key` from its primary replica. The returned snapshot
     /// shares the partition's allocation (refcount bump, not a copy).
     ///
@@ -476,21 +471,6 @@ mod tests {
             assert!(Snapshot::ptr_eq(&primary_copy, &d.partitions[o]["key"]));
         }
         assert!(Snapshot::ptr_eq(&primary_copy, &d.get("key").unwrap()));
-    }
-
-    #[test]
-    fn slots_are_visited_primary_first_without_counting() {
-        let mut d = dht(4, 2);
-        d.put("key", vjson!(1)).unwrap();
-        let mut seen = 0;
-        d.for_each_slot("key", |slot| {
-            seen += 1;
-            *slot = Snapshot::from(vjson!(2));
-        });
-        assert_eq!(seen, 2);
-        assert_eq!(d.get("key").unwrap().as_i64(), Some(2));
-        d.for_each_slot("absent", |_| panic!("no slot to visit"));
-        assert_eq!((d.puts(), d.gets()), (1, 1));
     }
 
     #[test]

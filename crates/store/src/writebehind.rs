@@ -81,7 +81,7 @@ impl FlushBatch {
 #[derive(Debug, Clone, Default)]
 pub struct WriteBehindBuffer {
     cfg: WriteBehindConfig,
-    /// key → latest pending value (a snapshot shared with the DHT)
+    /// key → latest pending value (a snapshot shared with the hot tier)
     pending: BTreeMap<String, Snapshot>,
     /// first-dirty queue (key, time); stale entries skipped on drain
     order: VecDeque<(String, SimTime)>,

@@ -38,7 +38,7 @@ fn unflushed_state_lives_in_the_memory_tier() {
     p.invoke(id, "incr", vec![]).unwrap();
     // Not flushed: durable tier may lag...
     // (write-behind delay is 50ms; no tick ran)
-    // ...but reads are served from the DHT.
+    // ...but reads are served from the in-memory hot tier.
     assert_eq!(p.get_state(id).unwrap()["count"].as_i64(), Some(1));
 }
 
@@ -94,6 +94,42 @@ fn consolidation_reduces_db_write_amplification() {
     );
     // Yet the final durable value is exact.
     assert_eq!(p.durable_state(hot).unwrap()["count"].as_i64(), Some(200));
+}
+
+#[test]
+fn state_at_rest_is_normalized_across_memory_loss() {
+    // Explicit nulls are absent members (RFC 7396): every way state
+    // reaches rest — create, import, commit — stores it normalized, and
+    // a cold re-warm from the durable tier reads back the same value.
+    let with_nulls =
+        || vjson!({"count": 1, "gone": null, "nested": {"x": null, "y": 2}, "list": [null]});
+    let normalized = vjson!({"count": 1, "nested": {"y": 2}, "list": [null]});
+    let p = counter_platform();
+    let created = p.create_object("Counter", with_nulls()).unwrap();
+    let imported = 100;
+    let snapshot = vjson!({
+        "format": "oprc-snapshot/1",
+        "objects": [{"id": imported, "class": "Counter", "revision": 0, "state": (with_nulls()), "files": {}}],
+    });
+    assert_eq!(p.import_snapshot(&snapshot).unwrap(), 1);
+    let imported = oprc_core::object::ObjectId(imported);
+    let committed = p.create_object("Counter", with_nulls()).unwrap();
+    p.invoke(committed, "incr", vec![]).unwrap();
+    let mut expected = vec![
+        (created, normalized.clone()),
+        (imported, normalized.clone()),
+        (committed, normalized),
+    ];
+    expected[2].1.insert("count", 2);
+    for (id, want) in &expected {
+        assert_eq!(&p.get_state(*id).unwrap(), want, "{id} before memory loss");
+    }
+    p.flush();
+    p.simulate_memory_loss();
+    for (id, want) in &expected {
+        assert_eq!(&p.get_state(*id).unwrap(), want, "{id} re-warmed cold");
+        assert_eq!(&p.durable_state(*id).unwrap(), want, "{id} at rest");
+    }
 }
 
 #[test]
