@@ -3,6 +3,13 @@
 # Run from the repository root. Fails fast on the first broken gate.
 set -eu
 
+# The tree as CI found it. No step may rewrite a tracked file or leave
+# an untracked one behind, so checked-in artifacts and goldens stay
+# byte-identical; a developer's own uncommitted edits are fine.
+tree_before=$(mktemp)
+trap 'rm -f "$tree_before"' EXIT
+git status --porcelain > "$tree_before"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -27,19 +34,19 @@ cargo run -q -p oprc-bench --bin chaos_smoke -- target/trace_chaos.json
 echo "==> flow doctor smoke (optimizer diagnostics OPRC050-053 + pinned JSON shape)"
 cargo run -q -p oprc-bench --bin flow_doctor_smoke
 
-echo "==> invoke hot-path gate (seeded; warm ns/op vs baseline + exact allocation budgets: warm invoke, per extra retry attempt, per batch=64 item + locks per batch)"
-cargo run -q --release -p oprc-bench --bin invoke_hotpath -- --quick --check
-
 echo "==> observability smoke (byte-stable profile/slo exports)"
 cargo run -q --release -p oprc-bench --bin obs_smoke
-
-echo "==> invoke throughput gate (workers x shards sweep + 1/2/4/8-node locality sweep; core-count-aware speedup and locality-gain gates)"
-cargo run -q --release -p oprc-bench --bin invoke_throughput -- --quick --check
 
 echo "==> scenario soak gate (Zipf/flash-crowd/multi-tenant invariants + fairness comparisons)"
 cargo run -q --release -p oprc-bench --bin scenario_soak -- --quick --check
 
 echo "==> benchmark unit tests (its own package: a smoke pass of all six workloads with their oracles on)"
 cargo test -q --release --manifest-path benchmark/Cargo.toml
+
+echo "==> working tree unchanged (compared with the status taken at the top)"
+if ! git status --porcelain | diff -u "$tree_before" -; then
+    echo "CI changed the working tree (diff above: - before, + after)" >&2
+    exit 1
+fi
 
 echo "==> CI green"

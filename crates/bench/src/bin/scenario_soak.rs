@@ -91,7 +91,6 @@ fn main() {
         .and_then(|n| n.parse().ok())
         .unwrap_or(0);
 
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let specs: Vec<ScenarioSpec> = builtin_scenarios()
         .into_iter()
         .map(|s| if quick { s.quick() } else { s })
@@ -175,7 +174,6 @@ fn main() {
     let doc = vjson!({
         "experiment": "scenario_soak",
         "quick": quick,
-        "cpus": (cpus as u64),
         "fairness_floor": FAIRNESS_FLOOR,
         "fairness_margin": FAIRNESS_MARGIN,
         "skew_margin": SKEW_MARGIN,
@@ -235,7 +233,6 @@ fn main() {
             for key in [
                 "experiment",
                 "quick",
-                "cpus",
                 "fairness_admission_on",
                 "fairness_admission_off",
                 "zipf_hot_shard_share",

@@ -43,7 +43,7 @@ pub use batch::BatchItem;
 pub use functions::{FunctionImpl, FunctionRegistry};
 pub use nodes::{MigrationReport, NodeStats, ObjectPlacement, PartitionSummary};
 pub use s3::S3Gateway;
-pub use shard::{ShardStats, DEFAULT_SHARD_COUNT};
+pub use shard::ShardStats;
 pub use state::StateLayer;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,7 +80,7 @@ use crate::PlatformError;
 
 use flow::CompiledFlow;
 use nodes::{NodeHop, NodeTable};
-use shard::{shard_index, ObjectEntry, Shard, ShardHandle};
+use shard::{shard_index, ObjectEntry, Shard, ShardHandle, SHARD_COUNT};
 
 /// Presigned URLs issued by the embedded platform live this long.
 const URL_TTL: SimDuration = SimDuration::from_secs(900);
@@ -429,20 +429,8 @@ impl EmbeddedPlatform {
     /// Creates a platform with a custom template catalog (the provider
     /// hook of §III-B).
     pub fn with_catalog(catalog: TemplateCatalog) -> Self {
-        Self::with_catalog_and_shards(catalog, DEFAULT_SHARD_COUNT)
-    }
-
-    /// Creates a platform with the standard catalog and `shards` state
-    /// shards (callers benchmarking contention pass 1; the default is
-    /// [`DEFAULT_SHARD_COUNT`]).
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_catalog_and_shards(TemplateCatalog::standard(), shards)
-    }
-
-    /// Creates a platform with a custom catalog and shard count.
-    pub fn with_catalog_and_shards(catalog: TemplateCatalog, shards: usize) -> Self {
         let started = Instant::now();
-        let shards: Box<[ShardHandle]> = (0..shards.max(1))
+        let shards: Box<[ShardHandle]> = (0..SHARD_COUNT)
             .map(|_| ShardHandle::new(StateLayer::with_defaults()))
             .collect();
         let mut routing = Dht::new(DhtConfig::default());
@@ -483,11 +471,6 @@ impl EmbeddedPlatform {
             chaos_clock: AtomicU64::new(0),
             clock_offset: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// The number of state shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Per-shard occupancy and lock-contention counters, in shard order.
@@ -2882,7 +2865,7 @@ classes:
             p.create_object("Counter", vjson!({})).unwrap();
         }
         let stats = p.shard_stats();
-        assert_eq!(stats.len(), p.shard_count());
+        assert_eq!(stats.len(), SHARD_COUNT);
         let total: usize = stats.iter().map(|s| s.objects).sum();
         assert_eq!(total, 32);
         assert!(stats.iter().filter(|s| s.objects > 0).count() > 1);

@@ -580,11 +580,14 @@ classes:
         assert!(matches!(err, PlatformError::ClusterTopology(_)), "{err}");
     }
 
-    #[test]
-    fn locality_keeps_execution_at_the_owner() {
+    /// Locality on, on a plane grown to `nodes` by live joins: every
+    /// invoke runs at its object's owner and no state ships.
+    fn locality_holds_at(nodes: usize) {
         let p = counter_platform(true);
-        p.node_join().unwrap();
-        p.node_join().unwrap();
+        for _ in 1..nodes {
+            p.node_join().unwrap();
+        }
+        assert_eq!(p.node_count(), nodes);
         let ids: Vec<_> = (0..24)
             .map(|_| p.create_object("Counter", vjson!({"count": 0})).unwrap())
             .collect();
@@ -592,10 +595,30 @@ classes:
             p.invoke(id, "incr", vec![]).unwrap();
         }
         let stats = p.node_stats();
-        assert_eq!(stats.iter().map(|s| s.remote_invokes).sum::<u64>(), 0);
+        assert_eq!(
+            stats.iter().map(|s| s.remote_invokes).sum::<u64>(),
+            0,
+            "{nodes}-node plane shipped state"
+        );
         assert_eq!(stats.iter().map(|s| s.local_invokes).sum::<u64>(), 24);
-        // More than one node actually executed something.
-        assert!(stats.iter().filter(|s| s.local_invokes > 0).count() > 1);
+        // On a multi-node plane more than one node actually executed
+        // something.
+        let executing = stats.iter().filter(|s| s.local_invokes > 0).count();
+        if nodes == 1 {
+            assert_eq!(executing, 1);
+        } else {
+            assert!(
+                executing > 1,
+                "{nodes}-node plane ran everything on one node"
+            );
+        }
+    }
+
+    #[test]
+    fn locality_keeps_execution_at_the_owner() {
+        for nodes in [1, 2, 4, 8] {
+            locality_holds_at(nodes);
+        }
     }
 
     #[test]

@@ -24,10 +24,11 @@ use oprc_core::object::{FileRef, ObjectId};
 use super::state::StateLayer;
 use crate::lockorder::{Tier, TierToken};
 
-/// Default shard count (a modest power of two: enough to spread a
+/// The shard count (a modest power of two: enough to spread a
 /// multi-worker closed loop, small enough that per-shard storage stacks
-/// stay cheap).
-pub const DEFAULT_SHARD_COUNT: usize = 16;
+/// stay cheap). Fixed, so an object's shard never depends on how the
+/// platform was built.
+pub(super) const SHARD_COUNT: usize = 16;
 
 /// An object's directory entry (class, interned storage key, file refs).
 #[derive(Debug, Clone)]
