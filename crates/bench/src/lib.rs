@@ -2,9 +2,8 @@
 //!
 //! The paper's quantitative reproduction lives in the `fig3` binary
 //! (`cargo run -p oprc-bench --bin fig3 --release`), which runs the
-//! discrete-event model; the criterion benches measure component
-//! latencies, and the smoke and `scenario_soak` binaries are seeded,
-//! virtual-time CI gates. The embedded invocation plane's checked
+//! discrete-event model, and the smoke and `scenario_soak` binaries are
+//! seeded, virtual-time CI gates. The embedded invocation plane's checked
 //! numbers come from the repository benchmark (`benchmark/`, declared
 //! by `BENCHMARK.json`), and the invoke path's exact allocation budgets
 //! are the `alloc_budgets` integration test. This library holds the

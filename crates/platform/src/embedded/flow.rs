@@ -2,9 +2,19 @@
 //! [`FlowProgram`], stage by stage.
 //!
 //! A stage's singleton steps are resolved and built one shard lock at a
-//! time, executed in parallel (§II-B: tasks are pure, so the platform
-//! owns the parallelism), and committed in step order; a fused unit
-//! runs its whole chain under one shard-lock hold with a single commit.
+//! time, executed, and committed in step order; a fused unit runs its
+//! whole chain under one shard-lock hold with a single commit.
+//!
+//! Tasks are pure, so the platform owns the parallelism (§II-B) — and
+//! with it the choice not to parallelise. Each function's dispatch plan
+//! keeps an estimate of its execute time, and a stage hands lanes to
+//! scoped threads only when the work that overlapping saves covers one
+//! [`HANDOFF_NS`] per extra lane; a cheap stage runs on the calling
+//! thread. A function not measured yet counts as expensive. Where a
+//! step ran changes nothing else: a panic in its function is caught
+//! and fails that step with [`TaskError::Runtime`], spans open and
+//! close on the calling thread, and a stage commits all its steps in
+//! step order or, when any step failed, none of them.
 //!
 //! With the fault injector armed the walk takes the flow's *plain*
 //! program — every pass off, one unit per step — and sends each step
@@ -17,13 +27,16 @@
 //! A span reaches the export only when it ends, so every span the walk
 //! opens is ended on every way out, the failing one carrying `error`.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 use oprc_core::dataflow::{DataflowSpec, StepSpec};
 use oprc_core::flow_ir::{FlowIr, FlowProgram, FlowUnit, NodeBinding, PassConfig};
 use oprc_core::hierarchy::ResolvedClass;
-use oprc_core::invocation::{InvocationTask, TaskResult};
+use oprc_core::invocation::{InvocationTask, TaskError, TaskResult};
 use oprc_core::object::ObjectId;
 use oprc_core::CoreError;
 use oprc_telemetry::TraceContext;
@@ -35,6 +48,14 @@ use super::{
     merge_patch, object_key, record_files, ClassPlan, DispatchPlan, EmbeddedPlatform, FunctionImpl,
     PlanTable, ResolvedCall,
 };
+
+/// What handing one lane of a stage to another thread costs: spawning
+/// and joining a scoped thread measured ~26–30 µs per spawn on a 2-vCPU
+/// Linux host. A stage goes parallel only when the execute time that
+/// overlapping saves covers this per extra lane, so the constant is
+/// rounded up: mistaking a cheap stage for an expensive one costs a
+/// whole handoff, the reverse at most the margin.
+const HANDOFF_NS: u64 = 50_000;
 
 /// A dataflow compiled at deploy time: the source spec plus the
 /// programs the engine walks.
@@ -171,9 +192,10 @@ impl EmbeddedPlatform {
     }
 
     /// Runs one stage: prepare every unit in order, execute the built
-    /// tasks in parallel, commit their effects in step order. Shard
-    /// locks are taken one step at a time (build, then later apply) —
-    /// never two at once, and never across execution.
+    /// tasks (in parallel where [`handoff_pays`]), commit their effects
+    /// in step order. Shard locks are taken one step at a time (build,
+    /// then later apply) — never two at once, and never across
+    /// execution.
     fn run_stage(
         &self,
         run: &mut FlowRun<'_>,
@@ -215,25 +237,29 @@ impl EmbeddedPlatform {
             .zip(&steps)
             .map(|(task, step)| self.begin_execute_span(task, step.span))
             .collect();
-        // Parallel execution (§II-B): safe because tasks are pure. The
-        // calling thread runs the last task itself, so a stage of
-        // width n spawns n − 1 threads and a one-step stage none.
-        let results: Vec<Result<TaskResult, PlatformError>> = std::thread::scope(|scope| {
-            let mut jobs = tasks.iter().zip(&steps).map(|(task, step)| {
-                let f = &step.call.f;
-                move || f(task).map_err(PlatformError::from)
-            });
-            let Some(last) = jobs.next_back() else {
-                return Vec::new();
-            };
-            let spawned: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
-            let last = last();
-            spawned
-                .into_iter()
-                .map(|h| h.join().expect("function panicked"))
-                .chain(std::iter::once(last))
-                .collect()
-        });
+        // Parallel execution (§II-B) only where it pays: the calling
+        // thread runs the last task itself, so a parallel stage of width
+        // n spawns n − 1 threads; a cheap stage spawns none.
+        let mut jobs = tasks
+            .iter()
+            .zip(&steps)
+            .map(|(task, step)| move || execute(step.call.dispatch, &step.call.f, task));
+        let results: Vec<Result<TaskResult, PlatformError>> = if handoff_pays(&steps) {
+            std::thread::scope(|scope| {
+                let Some(last) = jobs.next_back() else {
+                    return Vec::new();
+                };
+                let spawned: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+                let last = last();
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("execute catches the function's panic"))
+                    .chain(std::iter::once(last))
+                    .collect()
+            })
+        } else {
+            jobs.map(|job| job()).collect()
+        };
         for (span, result) in exec_spans.into_iter().zip(&results) {
             self.end_span(span, result);
         }
@@ -241,11 +267,14 @@ impl EmbeddedPlatform {
         // first: nothing re-executes them, and their `state_in` handles
         // would force a copy at each commit.
         let ikeys: Vec<u64> = tasks.into_iter().map(|t| t.idempotency_key).collect();
+        // A stage commits all or nothing: the first failed step in step
+        // order ends the flow and no step of the stage commits, though
+        // every step span still ends. Past that, only a failing commit
+        // stops the later ones.
+        let failed = results.iter().position(Result::is_err);
         let mut out = Ok(());
-        for ((step, result), ikey) in steps.iter().zip(results).zip(ikeys) {
-            // The first failure ends the flow: later steps of the stage
-            // commit nothing, but their spans still end.
-            if out.is_ok() {
+        for (i, ((step, result), ikey)) in steps.iter().zip(results).zip(ikeys).enumerate() {
+            if out.is_ok() && failed.is_none_or(|f| f == i) {
                 out = result.and_then(|result| {
                     self.apply_result(
                         &mut self.shard(step.target).lock(),
@@ -272,7 +301,7 @@ impl EmbeddedPlatform {
     /// Resolves step `ix` and readies it for its stage. Under chaos the
     /// step runs here, through the retry loop, and `None` comes back;
     /// otherwise its task is built (one short shard hold) and returned
-    /// for the stage's parallel execution.
+    /// for the stage to execute.
     fn prepare_step<'a>(
         &self,
         run: &mut FlowRun<'a>,
@@ -548,4 +577,78 @@ impl EmbeddedPlatform {
         self.metrics.record_fused_unit();
         Ok(())
     }
+}
+
+impl DispatchPlan {
+    /// The function's estimated execute time in ns, `None` until a
+    /// stage has executed it once.
+    fn execute_estimate(&self) -> Option<u64> {
+        let ns = self.execute_ns.load(Ordering::Relaxed);
+        (ns != u64::MAX).then_some(ns)
+    }
+
+    /// Folds one measured execute into the estimate (EWMA, weight ¼).
+    /// Lanes of one stage racing here may lose a sample; an estimate
+    /// needs no more.
+    fn record_execute(&self, ns: u64) {
+        let next = self
+            .execute_estimate()
+            .map_or(ns, |prev| prev - prev / 4 + ns / 4);
+        // `u64::MAX` is reserved for "not measured".
+        self.execute_ns
+            .store(next.min(u64::MAX - 1), Ordering::Relaxed);
+    }
+}
+
+/// Whether a stage's lanes pay for their handoffs. Run serially the
+/// stage costs the sum of its steps' execute times; run in parallel, its
+/// longest step plus one [`HANDOFF_NS`] per lane handed off. A step
+/// with no estimate yet counts as expensive, so a function's first
+/// stage still runs in parallel. A one-step stage has nothing to hand
+/// off.
+fn handoff_pays(steps: &[ResolvedStep<'_>]) -> bool {
+    if steps.len() < 2 {
+        return false;
+    }
+    let (mut sum, mut max) = (0_u64, 0_u64);
+    for step in steps {
+        let Some(ns) = step.call.dispatch.execute_estimate() else {
+            return true;
+        };
+        sum = sum.saturating_add(ns);
+        max = max.max(ns);
+    }
+    sum - max >= (steps.len() as u64 - 1) * HANDOFF_NS
+}
+
+/// Executes one stage task, on whichever thread the stage chose, and
+/// folds its wall time into the function's estimate. A panic in the
+/// function fails the step with [`TaskError::Runtime`] instead of
+/// unwinding into the engine, so the outcome is the same on every
+/// thread.
+fn execute(
+    dispatch: &DispatchPlan,
+    f: &FunctionImpl,
+    task: &InvocationTask,
+) -> Result<TaskResult, PlatformError> {
+    let started = Instant::now();
+    let out = panic::catch_unwind(AssertUnwindSafe(|| f(task)));
+    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    dispatch.record_execute(ns);
+    match out {
+        Ok(result) => result.map_err(PlatformError::from),
+        Err(payload) => Err(PlatformError::from(TaskError::Runtime(format!(
+            "panicked: {}",
+            panic_message(&*payload)
+        )))),
+    }
+}
+
+/// The message a panic carried, when it carried one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload")
 }

@@ -7,10 +7,12 @@
 //! ([`EmbeddedPlatform::register_function`]); they receive the same
 //! self-contained [`InvocationTask`] a containerized function would.
 //!
-//! Dataflow stages execute their steps on scoped worker threads — the
-//! "platform handles parallelism" half of §II-B — which is safe because
-//! tasks are pure: all state effects are applied by the platform
-//! afterwards, in deterministic step order (the engine is `flow.rs`).
+//! Dataflow stages execute their steps on scoped worker threads when
+//! the steps' measured work pays for the handoff, and inline otherwise —
+//! the "platform handles parallelism" half of §II-B — which is safe
+//! because tasks are pure: all state effects are applied by the
+//! platform afterwards, in deterministic step order (the engine is
+//! `flow.rs`).
 //!
 //! # Concurrency
 //!
@@ -105,7 +107,7 @@ struct ClassRuntime {
 /// The deploy-time-resolved dispatch for one `(class, function)` pair:
 /// everything `invoke` would otherwise recompute per call — the
 /// polymorphic dispatch walk, the access check, the breaker-key string.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DispatchPlan {
     /// Class providing the implementation (may be an ancestor).
     impl_class: Arc<str>,
@@ -117,6 +119,12 @@ struct DispatchPlan {
     internal: bool,
     /// Interned `class::function` breaker/metrics key.
     breaker_key: Arc<str>,
+    /// The function's measured execute time in a dataflow stage: an
+    /// EWMA of wall ns, `u64::MAX` until its first stage execute. The
+    /// flow engine reads it to decide whether a stage's lanes pay for
+    /// their thread handoffs; a redeploy rebuilds the plan and so
+    /// forgets it.
+    execute_ns: AtomicU64,
 }
 
 /// A `class::function` call resolved against a plan snapshot (by
@@ -766,6 +774,7 @@ impl EmbeddedPlatform {
                             image: Arc::from(fdef.image.as_str()),
                             internal: fdef.access == AccessModifier::Internal,
                             breaker_key: Arc::from(format!("{class}::{fname}").as_str()),
+                            execute_ns: AtomicU64::new(u64::MAX),
                         },
                     );
                 }

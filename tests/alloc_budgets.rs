@@ -10,12 +10,14 @@
 //! - a retry attempt re-runs the one saved task, it does not deep-clone
 //!   the task or its state snapshot per attempt;
 //! - a batch item runs out of the batch's scratch arena and merges in
-//!   place, so per-item counts stay in the tens.
+//!   place, so per-item counts stay in the tens;
+//! - a warm flow of cheap steps runs its stages on the calling thread
+//!   and pays for no thread spawn.
 //!
 //! The global allocator forwards to `System` and counts per thread:
-//! every measured call runs on the test's own thread (direct invokes
-//! and single-object batches spawn none), so libtest running other
-//! tests in parallel cannot pollute a count.
+//! every measured call runs on the test's own thread (direct invokes,
+//! single-object batches and warm cheap flows spawn none), so libtest
+//! running other tests in parallel cannot pollute a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,6 +76,10 @@ const RETRY_EXTRA_ATTEMPT_ALLOC_BUDGET: u64 = 160;
 
 /// Allocations per item of a one-object batch of 64 (11 measured).
 const BATCH64_ALLOC_BUDGET: u64 = 32;
+
+/// Allocations per warm flow of two stages, two cheap lanes each, on a
+/// stateless class (45 measured; 59 when every wide stage spawns).
+const FLOW_ALLOC_BUDGET: u64 = 47;
 
 const SEED: u64 = 42;
 /// Attempts the availability-0.999 tier arms.
@@ -233,5 +239,47 @@ fn batch_items_run_out_of_the_arena() {
         per_item <= BATCH64_ALLOC_BUDGET,
         "warm batch=64 costs {per_item} allocs/item (budget {BATCH64_ALLOC_BUDGET}): \
          the batch path is allocating per item instead of per group"
+    );
+}
+
+#[test]
+fn warm_cheap_flow_spawns_no_thread() {
+    let mut p = EmbeddedPlatform::new();
+    p.register_function("img/one", |_| Ok(TaskResult::output(1)));
+    p.deploy_yaml(
+        "
+classes:
+  - name: Lanes
+    functions:
+      - name: one
+        image: img/one
+    dataflows:
+      - name: square
+        output: c
+        steps:
+          - id: a
+            function: one
+          - id: b
+            function: one
+          - id: c
+            function: one
+            inputs: [\"step:a\", \"step:b\"]
+          - id: d
+            function: one
+            inputs: [\"step:a\", \"step:b\"]
+",
+    )
+    .expect("Lanes deploys");
+    let id = p.create_object("Lanes", vjson!({})).expect("creates");
+    for _ in 0..OPS / 8 {
+        p.invoke(id, "square", vec![]).expect("warms up");
+    }
+    let allocs = allocs_per_op(OPS, || {
+        p.invoke(id, "square", vec![]).expect("flow succeeds");
+    });
+    assert!(
+        allocs <= FLOW_ALLOC_BUDGET,
+        "warm cheap flow costs {allocs} allocs/op (budget {FLOW_ALLOC_BUDGET}): \
+         its stages are handing cheap lanes to other threads"
     );
 }

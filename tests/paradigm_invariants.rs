@@ -179,15 +179,19 @@ classes:
     )
     .unwrap();
     let id = p.create_object("W", vjson!({})).unwrap();
-    let started = Instant::now();
-    p.invoke(id, "wide", vec![]).unwrap();
-    let wall = started.elapsed();
-    // Four 30ms steps in one parallel stage: far below the 120ms serial
-    // cost (generous bound for CI noise).
-    assert!(
-        wall < Duration::from_millis(100),
-        "parallel stage took {wall:?}"
-    );
+    // The first call runs before any step is measured; the later ones
+    // run on a measured 30ms estimate, which pays for the handoffs.
+    for call in 1..=3 {
+        let started = Instant::now();
+        p.invoke(id, "wide", vec![]).unwrap();
+        let wall = started.elapsed();
+        // Four 30ms steps in one parallel stage: far below the 120ms
+        // serial cost (generous bound for CI noise).
+        assert!(
+            wall < Duration::from_millis(100),
+            "call {call}: parallel stage took {wall:?}"
+        );
+    }
 }
 
 /// NFR inheritance flows into template selection at deploy time.
