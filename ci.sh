@@ -25,9 +25,6 @@ cargo test -q
 echo "==> concurrency conformance, serial rerun (catches order-dependent assertions)"
 cargo test -q -p oprc-tests --test concurrent_invocation -- --test-threads=1
 
-echo "==> telemetry smoke (image workload under tracing -> Chrome export)"
-cargo run -q -p oprc-bench --bin trace_smoke -- target/trace_image.json
-
 echo "==> chaos smoke (seeded fault injection over the image pipeline)"
 cargo run -q -p oprc-bench --bin chaos_smoke -- target/trace_chaos.json
 

@@ -267,7 +267,7 @@ fn main() {
         )
     );
 
-    println!("A4b — data-locality routing (embedded plane, 2000 invocations)");
+    println!("A4b — data-locality routing (embedded 4-node plane, 2000 invocations)");
     let mut rows = Vec::new();
     for locality in [true, false] {
         let (local, remote) = locality_run(locality);
@@ -300,8 +300,9 @@ fn check(what: &str, ok: bool, detail: String) {
     println!("  [{}] {what} — {detail}", if ok { "ok" } else { "MISS" });
 }
 
-/// Runs 2000 invocations on the embedded platform with locality routing
-/// on or off, returning `(local, remote)` route counts.
+/// Runs 2000 invocations on a 4-node embedded plane with locality
+/// routing on or off, returning the `(local, remote)` node-hop counts
+/// summed over the nodes.
 fn locality_run(locality: bool) -> (u64, u64) {
     use oprc_core::invocation::TaskResult;
     use oprc_core::template::{ClassRuntimeTemplate, RuntimeConfig};
@@ -312,7 +313,6 @@ fn locality_run(locality: bool) -> (u64, u64) {
         0,
         RuntimeConfig {
             locality_routing: locality,
-            min_replicas: 4,
             ..RuntimeConfig::default()
         },
     ));
@@ -324,6 +324,9 @@ fn locality_run(locality: bool) -> (u64, u64) {
         "classes:\n  - name: K\n    keySpecs: [n]\n    functions:\n      - name: touch\n        image: img/touch\n",
     )
     .expect("deploys");
+    for _ in 0..3 {
+        p.node_join().expect("a node joins");
+    }
     let ids: Vec<_> = (0..100)
         .map(|_| p.create_object("K", vjson!({"n": 1})).expect("creates"))
         .collect();
@@ -331,5 +334,7 @@ fn locality_run(locality: bool) -> (u64, u64) {
         let id = ids[i % ids.len()];
         p.invoke(id, "touch", vec![]).expect("invokes");
     }
-    p.routing_stats("K")
+    p.node_stats().iter().fold((0, 0), |(local, remote), n| {
+        (local + n.local_invokes, remote + n.remote_invokes)
+    })
 }

@@ -53,7 +53,9 @@ use crate::PlatformError;
 
 use super::shard::{shard_index, Shard};
 use super::state::StateLayer;
-use super::{merge_patch, object_key, record_files, EmbeddedPlatform, PlanTable, ResolvedCall};
+use super::{
+    call_function, merge_patch, object_key, record_files, EmbeddedPlatform, PlanTable, ResolvedCall,
+};
 
 /// One invocation in an [`EmbeddedPlatform::invoke_batch`] call.
 #[derive(Debug, Clone)]
@@ -248,17 +250,17 @@ impl EmbeddedPlatform {
             } else {
                 TraceContext::NONE
             };
-            // Routing consults the control-plane runtimes lock, so it
-            // runs per item *before* the group's shard hold. The node
-            // hop is decided once per group, from the first resolved
-            // item's locality flag: every item in the group shares the
-            // same owner node by construction.
+            // A traced item's `route` span consults the control-plane
+            // runtimes lock, so it is emitted *before* the group's shard
+            // hold. The node hop is decided once per group, from the
+            // first resolved item's plan: every item in the group shares
+            // the same owner node by construction.
             let mut hop = None;
             for &slot in slots {
                 if let Some(r) = &resolved[slot] {
-                    let locality = self.route(&r.class, r.id, group_span);
+                    self.emit_route(&r.class, r.id, group_span);
                     if hop.is_none() {
-                        hop = Some(self.node_hop(r.id, locality));
+                        hop = Some(self.node_hop(r.id, r.call.plan.locality));
                     }
                 }
             }
@@ -424,7 +426,7 @@ impl EmbeddedPlatform {
         let out = self.retry_loop(&r.class, dispatch, policy, ikey, parent, |_| {
             let task = arena.task.as_mut().expect("shaped above");
             let exec_span = self.begin_execute_span(task, parent);
-            let result = (r.call.f)(&*task).map_err(PlatformError::from);
+            let result = call_function(&r.call.f, task);
             self.end_span(exec_span, &result);
             let out = result?;
             // Release the task shell's ref on the running snapshot so

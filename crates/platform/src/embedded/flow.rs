@@ -12,7 +12,7 @@
 //! [`HANDOFF_NS`] per extra lane; a cheap stage runs on the calling
 //! thread. A function not measured yet counts as expensive. Where a
 //! step ran changes nothing else: a panic in its function is caught
-//! and fails that step with [`TaskError::Runtime`], spans open and
+//! and fails that step with `TaskError::Runtime`, spans open and
 //! close on the calling thread, and a stage commits all its steps in
 //! step order or, when any step failed, none of them.
 //!
@@ -25,18 +25,17 @@
 //! the serial walk keeps a seeded replay byte-identical.
 //!
 //! A span reaches the export only when it ends, so every span the walk
-//! opens is ended on every way out, the failing one carrying `error`.
+//! opens is ended on every way out, the failing one carrying `error` and
+//! a step its failed stage never committed carrying `aborted`.
 
-use std::any::Any;
 use std::collections::BTreeMap;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use oprc_core::dataflow::{DataflowSpec, StepSpec};
 use oprc_core::flow_ir::{FlowIr, FlowProgram, FlowUnit, NodeBinding, PassConfig};
 use oprc_core::hierarchy::ResolvedClass;
-use oprc_core::invocation::{InvocationTask, TaskError, TaskResult};
+use oprc_core::invocation::{InvocationTask, TaskResult};
 use oprc_core::object::ObjectId;
 use oprc_core::CoreError;
 use oprc_telemetry::TraceContext;
@@ -45,8 +44,8 @@ use oprc_value::{Snapshot, Value};
 use crate::PlatformError;
 
 use super::{
-    merge_patch, object_key, record_files, ClassPlan, DispatchPlan, EmbeddedPlatform, FunctionImpl,
-    PlanTable, ResolvedCall,
+    call_function, merge_patch, object_key, record_files, ClassPlan, DispatchPlan,
+    EmbeddedPlatform, FunctionImpl, PlanTable, ResolvedCall,
 };
 
 /// What handing one lane of a stage to another thread costs: spawning
@@ -178,7 +177,7 @@ impl EmbeddedPlatform {
                 TraceContext::NONE
             };
             let out = self.run_stage(&mut run, stage, stage_span);
-            self.telemetry.end(stage_span, self.now());
+            self.end_span(stage_span, &out);
             out?;
         }
         let out_step = run.df.output_step().expect("a lowered dataflow has steps");
@@ -223,7 +222,7 @@ impl EmbeddedPlatform {
                 Err(e) => {
                     // The steps prepared so far never execute.
                     for step in &steps {
-                        self.telemetry.end(step.span, self.now());
+                        self.end_aborted(step.span);
                     }
                     return Err(e);
                 }
@@ -292,10 +291,18 @@ impl EmbeddedPlatform {
                 });
                 self.end_span(step.span, &out);
             } else {
-                self.telemetry.end(step.span, self.now());
+                self.end_aborted(step.span);
             }
         }
         out
+    }
+
+    /// Ends the span of a step that failed nothing itself but was
+    /// prepared or executed in a stage that failed: it never committed,
+    /// so it carries `aborted` instead of reading as a success.
+    fn end_aborted(&self, span: TraceContext) {
+        self.telemetry.attr(span, "aborted", true);
+        self.telemetry.end(span, self.now());
     }
 
     /// Resolves step `ix` and readies it for its stage. Under chaos the
@@ -351,9 +358,9 @@ impl EmbeddedPlatform {
 
     /// Resolves one singleton step: target object, dispatch through the
     /// target class's cached plan (no registry walk or string formatting
-    /// per step), the `dataflow.step` span, instance routing, the input
-    /// values, the implementation. Control locks are taken here only —
-    /// never while a shard is held.
+    /// per step), the `dataflow.step` span and its `route` label, the
+    /// input values, the implementation. Control locks are taken here
+    /// only — never while a shard is held.
     fn resolve_step<'a>(
         &self,
         run: &FlowRun<'a>,
@@ -401,7 +408,7 @@ impl EmbeddedPlatform {
         } else {
             TraceContext::NONE
         };
-        self.route(&class, target, span);
+        self.emit_route(&class, target, span);
         let inputs: Vec<Value> =
             DataflowSpec::resolve_inputs_shared(step, &run.input, &run.outputs)
                 .into_iter()
@@ -429,12 +436,12 @@ impl EmbeddedPlatform {
         Ok((resolved, inputs))
     }
 
-    /// Executes one fused same-object chain: one route, one shard-lock
-    /// hold, one state load, one presign set, and a *single* state
-    /// commit after every step in the chain has run. Sound because the
-    /// fusion pass only emits chains covering the complete set of
-    /// surviving self-bound steps — no other step can observe this
-    /// object's state mid-chain.
+    /// Executes one fused same-object chain: one shard-lock hold, one
+    /// state load, one presign set, and a *single* state commit after
+    /// every step in the chain has run. Sound because the fusion pass
+    /// only emits chains covering the complete set of surviving
+    /// self-bound steps — no other step can observe this object's state
+    /// mid-chain.
     fn run_fused_unit(
         &self,
         run: &mut FlowRun<'_>,
@@ -473,7 +480,7 @@ impl EmbeddedPlatform {
         } else {
             TraceContext::NONE
         };
-        self.route(class, id, fused_span);
+        self.emit_route(class, id, fused_span);
         let out = self.run_chain(run, plan, &chain, fused_span);
         self.end_span(fused_span, &out);
         out
@@ -522,7 +529,7 @@ impl EmbeddedPlatform {
                 idempotency_key: self.next_invocation.fetch_add(1, Ordering::Relaxed),
             };
             let exec_span = self.begin_execute_span(&task, fused_span);
-            let result = f(&task).map_err(PlatformError::from);
+            let result = call_function(f, &task);
             // The step's handle on the running state goes before its
             // patch is merged, so the chain copies at most once: the
             // first patch detaches `state` from the committed version
@@ -623,7 +630,7 @@ fn handoff_pays(steps: &[ResolvedStep<'_>]) -> bool {
 
 /// Executes one stage task, on whichever thread the stage chose, and
 /// folds its wall time into the function's estimate. A panic in the
-/// function fails the step with [`TaskError::Runtime`] instead of
+/// function fails the step (see [`call_function`]) instead of
 /// unwinding into the engine, so the outcome is the same on every
 /// thread.
 fn execute(
@@ -632,23 +639,8 @@ fn execute(
     task: &InvocationTask,
 ) -> Result<TaskResult, PlatformError> {
     let started = Instant::now();
-    let out = panic::catch_unwind(AssertUnwindSafe(|| f(task)));
+    let out = call_function(f, task);
     let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     dispatch.record_execute(ns);
-    match out {
-        Ok(result) => result.map_err(PlatformError::from),
-        Err(payload) => Err(PlatformError::from(TaskError::Runtime(format!(
-            "panicked: {}",
-            panic_message(&*payload)
-        )))),
-    }
-}
-
-/// The message a panic carried, when it carried one.
-fn panic_message(payload: &(dyn Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("a non-string payload")
+    out
 }

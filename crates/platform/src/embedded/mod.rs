@@ -48,7 +48,9 @@ pub use s3::S3Gateway;
 pub use shard::ShardStats;
 pub use state::StateLayer;
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -87,8 +89,8 @@ use shard::{shard_index, ObjectEntry, Shard, ShardHandle, SHARD_COUNT};
 /// Presigned URLs issued by the embedded platform live this long.
 const URL_TTL: SimDuration = SimDuration::from_secs(900);
 
-/// Members of the instance-routing ring: the class-runtime instances an
-/// [`ObjectRouter`] picks an owner among (by the object's `obj-N` name).
+/// Members of the instance ring on which a traced call's `route` span
+/// names the class-runtime instance an [`ObjectRouter`] picks.
 const ROUTING_MEMBERS: u64 = 4;
 
 #[derive(Debug)]
@@ -96,12 +98,6 @@ struct ClassRuntime {
     spec: ClassRuntimeSpec,
     router: ObjectRouter,
     instances: Vec<u64>,
-    /// Atomic so routing stats accumulate under the runtimes *read*
-    /// lock (the invoke hot path never takes the write lock).
-    routed_local: AtomicU64,
-    routed_remote: AtomicU64,
-    /// Retry policy the class's NFR availability block earned at deploy.
-    retry: RetryPolicy,
 }
 
 /// The deploy-time-resolved dispatch for one `(class, function)` pair:
@@ -154,6 +150,8 @@ struct ClassPlan {
     /// Whether the class runtime's template persists state (resolved at
     /// deploy so commits never consult the runtimes lock).
     persists: bool,
+    /// The runtime's locality-routing flag, the node hop's input.
+    locality: bool,
     /// The monitored SLO derived from the class's NFRs at deploy time
     /// (availability tier → error budget, latency QoS → p99 objective),
     /// so burn-rate evaluation never consults the registry.
@@ -575,7 +573,7 @@ impl EmbeddedPlatform {
 
     /// The retry policy resolved for `class` at deploy time.
     pub fn retry_policy(&self, class: &str) -> Option<RetryPolicy> {
-        self.runtimes.read().get(class).map(|r| r.retry.clone())
+        self.plans.read().get(class).map(|p| p.retry.clone())
     }
 
     /// The S3 endpoint handle. Function closures may capture a clone —
@@ -704,16 +702,15 @@ impl EmbeddedPlatform {
         let class_names: Vec<String> = pkg.classes.iter().map(|c| c.name.clone()).collect();
         self.registry.write().deploy(pkg)?;
         for name in class_names {
-            let (spec, retry, has_files) = {
+            let (spec, has_files) = {
                 let registry = self.registry.read();
                 let resolved = registry.require_class(&name)?;
-                let retry = RetryPolicy::from_nfr(&resolved.nfr);
                 let spec = deployer::plan_runtime(resolved, &self.catalog)?;
                 let has_files = resolved
                     .key_specs
                     .iter()
                     .any(|k| k.state_type == oprc_core::StateType::File);
-                (spec, retry, has_files)
+                (spec, has_files)
             };
             let replicas = spec.config.min_replicas.max(1) as usize;
             let locality = spec.config.locality_routing;
@@ -727,9 +724,6 @@ impl EmbeddedPlatform {
                     spec,
                     router: ObjectRouter::new(locality),
                     instances,
-                    routed_local: AtomicU64::new(0),
-                    routed_remote: AtomicU64::new(0),
-                    retry,
                 },
             );
             if has_files {
@@ -750,11 +744,14 @@ impl EmbeddedPlatform {
     /// invokes keep the consistent snapshot they cloned, and between
     /// deploys the registry is immutable.
     fn rebuild_dispatch_plans(&self) -> Result<(), PlatformError> {
-        let persists: BTreeMap<String, bool> = self
+        let configs: BTreeMap<String, (bool, bool)> = self
             .runtimes
             .read()
             .iter()
-            .map(|(name, rt)| (name.clone(), rt.spec.config.persistent))
+            .map(|(name, rt)| {
+                let config = &rt.spec.config;
+                (name.clone(), (config.persistent, config.locality_routing))
+            })
             .collect();
         let mut table = PlanTable::new();
         {
@@ -792,6 +789,8 @@ impl EmbeddedPlatform {
                     .filter(|k| k.state_type == oprc_core::StateType::File)
                     .map(|k| k.name.clone())
                     .collect();
+                // A class without a runtime persists and routes by locality.
+                let (persists, locality) = configs.get(class).copied().unwrap_or((true, true));
                 table.insert(
                     class.to_string(),
                     ClassPlan {
@@ -799,7 +798,8 @@ impl EmbeddedPlatform {
                         dataflows,
                         file_keys,
                         retry: RetryPolicy::from_nfr(&resolved.nfr),
-                        persists: persists.get(class).copied().unwrap_or(true),
+                        persists,
+                        locality,
                         slo: Slo::from_nfr(&resolved.nfr),
                     },
                 );
@@ -902,16 +902,6 @@ impl EmbeddedPlatform {
         self.runtimes.read().get(class).map(|r| r.instances.len())
     }
 
-    /// `(local, remote)` routing counters for `class`.
-    pub fn routing_stats(&self, class: &str) -> (u64, u64) {
-        self.runtimes.read().get(class).map_or((0, 0), |r| {
-            (
-                r.routed_local.load(Ordering::Relaxed),
-                r.routed_remote.load(Ordering::Relaxed),
-            )
-        })
-    }
-
     /// Creates an object of `class` with initial structured state
     /// (§IV step 5).
     ///
@@ -925,7 +915,7 @@ impl EmbeddedPlatform {
         merge::normalize(&mut value);
         let key = storage_key(class, id);
         let now = self.now();
-        let persist = self.class_persists(class);
+        let persist = self.plans.read().get(class).is_none_or(|p| p.persists);
         let mut sh = self.shard(id).lock();
         sh.state.store(now, &key, value, persist);
         sh.objects.insert(
@@ -1214,8 +1204,8 @@ impl EmbeddedPlatform {
         // lock is taken, which is never held while consulting the
         // function registry.
         let call = self.resolve_call(&class, function, plan, &self.functions.read(), started)?;
-        let locality = self.route(&class, id, root);
-        let hop = self.node_hop(id, locality);
+        self.emit_route(&class, id, root);
+        let hop = self.node_hop(id, call.plan.locality);
         hop.count();
         self.emit_node_hop(&hop, root);
         let out = self.invoke_with_retry(id, &class, &call, args, root, &hop);
@@ -1567,49 +1557,32 @@ impl EmbeddedPlatform {
             .record_invocation(class, function, now, latency, ok);
     }
 
-    /// Whether the class runtime's template persists state.
-    fn class_persists(&self, class: &str) -> bool {
-        self.runtimes
-            .read()
-            .get(class)
-            .is_none_or(|r| r.spec.config.persistent)
-    }
-
-    /// Instance-level routing: picks the runtime instance, accounts the
-    /// local/remote split, and emits the `route` span. Returns the
-    /// class's locality-routing flag (`true` when the class has no
-    /// runtime) for the node-level hop decision.
-    fn route(&self, class: &str, id: ObjectId, parent: TraceContext) -> bool {
+    /// Labels a traced call with the `route` span: the runtime instance
+    /// the class's [`ObjectRouter`] picks on the instance ring. Placement
+    /// is the node hop's; untraced, this takes no lock and walks no ring.
+    fn emit_route(&self, class: &str, id: ObjectId, parent: TraceContext) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
         let now = self.now();
         let runtimes = self.runtimes.read();
         let Some(rt) = runtimes.get(class) else {
-            return true;
+            return;
         };
-        let locality = rt.router.locality();
-        if let Some(route) = rt.router.route(id, &self.routing, &rt.instances) {
-            let kind = match route.kind {
-                crate::router::RouteKind::Local => {
-                    rt.routed_local.fetch_add(1, Ordering::Relaxed);
-                    "local"
-                }
-                // Round-robin picks never computed the owner; the
-                // platform accounts them as remote state access.
-                crate::router::RouteKind::Remote { .. } | crate::router::RouteKind::RoundRobin => {
-                    rt.routed_remote.fetch_add(1, Ordering::Relaxed);
-                    "remote"
-                }
-            };
-            if self.telemetry.is_enabled() {
-                let span = self.telemetry.begin_child(parent, "route", now);
-                self.telemetry.attr(span, "kind", kind);
-                self.telemetry.attr(span, "instance", route.instance);
-                if let crate::router::RouteKind::Remote { owner } = route.kind {
-                    self.telemetry.attr(span, "owner", owner);
-                }
-                self.telemetry.end(span, self.now());
-            }
+        let Some(route) = rt.router.route(id, &self.routing, &rt.instances) else {
+            return;
+        };
+        let span = self.telemetry.begin_child(parent, "route", now);
+        // A round-robin pick never computed the owner; it reads as
+        // remote state access.
+        let local = route.kind == crate::router::RouteKind::Local;
+        self.telemetry
+            .attr(span, "kind", if local { "local" } else { "remote" });
+        self.telemetry.attr(span, "instance", route.instance);
+        if let crate::router::RouteKind::Remote { owner } = route.kind {
+            self.telemetry.attr(span, "owner", owner);
         }
-        locality
+        self.telemetry.end(span, self.now());
     }
 
     /// Builds the self-contained task for one attempt, reading state
@@ -1777,13 +1750,13 @@ impl EmbeddedPlatform {
                     let _transport = hop.owner_state.transport.lock();
                     let copy = Snapshot::from(task.state_in.value().clone());
                     let home = std::mem::replace(&mut task.state_in, copy);
-                    let out = (call.f)(task).map_err(PlatformError::from);
+                    let out = call_function(&call.f, task);
                     (out, std::mem::replace(&mut task.state_in, home))
                 };
                 // `_shipped` is freed here, off the transport.
                 out
             }
-            Ok(()) => (call.f)(task).map_err(PlatformError::from),
+            Ok(()) => call_function(&call.f, task),
         };
         self.end_span(exec_span, &result);
         let result = result?;
@@ -2197,7 +2170,7 @@ impl EmbeddedPlatform {
                 .to_string();
             self.registry.read().require_class(&class)?;
             let id = ObjectId(raw);
-            let persist = self.class_persists(&class);
+            let persist = self.plans.read().get(&class).is_none_or(|p| p.persists);
             let mut files = BTreeMap::new();
             if let Some(fmap) = doc["files"].as_object() {
                 for (name, f) in fmap {
@@ -2252,6 +2225,28 @@ impl EmbeddedPlatform {
 fn merge_patch(state: &mut Value, patch: &Value) {
     merge::deep_merge(state, patch.clone());
     merge::normalize(state);
+}
+
+/// Runs user code: `f` on `task`, a panic in it failing the call with the
+/// retryable [`TaskError::Runtime`] (`"panicked: …"`) instead of
+/// unwinding through a held shard lock or a task holding a shipped copy.
+fn call_function(f: &FunctionImpl, task: &InvocationTask) -> Result<TaskResult, PlatformError> {
+    match panic::catch_unwind(AssertUnwindSafe(|| f(task))) {
+        Ok(result) => result.map_err(PlatformError::from),
+        Err(payload) => Err(PlatformError::from(TaskError::Runtime(format!(
+            "panicked: {}",
+            panic_message(&*payload)
+        )))),
+    }
+}
+
+/// The message a panic carried, when it carried one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload")
 }
 
 /// Whether an invocation error is worth retrying: injected faults and
@@ -2848,17 +2843,6 @@ classes:
         // Public view strips internal keys.
         let public = p.get_state_public(id).unwrap();
         assert_eq!(public, vjson!({"balance": 100}));
-    }
-
-    #[test]
-    fn routing_stats_accumulate() {
-        let p = counter_platform();
-        let id = p.create_object("Counter", vjson!({})).unwrap();
-        for _ in 0..10 {
-            p.invoke(id, "incr", vec![]).unwrap();
-        }
-        let (local, remote) = p.routing_stats("Counter");
-        assert_eq!(local + remote, 10);
     }
 
     #[test]

@@ -62,11 +62,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Allocations of one warm invoke on the 64-field state. The commit
-/// mutates the record in place under the shard lock, so the count
-/// tracks the task and the patch (11 measured), not the state (604 with
-/// a copy per commit).
-const WARM_ALLOC_BUDGET: u64 = 40;
+/// Allocations of one warm invoke on the 64-field state, as measured.
+/// The commit mutates the record in place under the shard lock, so the
+/// count tracks the task and the patch, not the state (604 with a copy
+/// per commit); an untraced invoke labels no `route` span (11 when it
+/// still formatted the id for the instance ring).
+const WARM_ALLOC_BUDGET: u64 = 10;
 
 /// Allocations each retry attempt beyond the first may add on top of
 /// the single-attempt control. Deep-cloning the task per attempt cost
@@ -74,12 +75,13 @@ const WARM_ALLOC_BUDGET: u64 = 40;
 /// costs 3.
 const RETRY_EXTRA_ATTEMPT_ALLOC_BUDGET: u64 = 160;
 
-/// Allocations per item of a one-object batch of 64 (11 measured).
-const BATCH64_ALLOC_BUDGET: u64 = 32;
+/// Allocations per item of a one-object batch of 64, as measured.
+const BATCH64_ALLOC_BUDGET: u64 = 10;
 
 /// Allocations per warm flow of two stages, two cheap lanes each, on a
-/// stateless class (45 measured; 59 when every wide stage spawns).
-const FLOW_ALLOC_BUDGET: u64 = 47;
+/// stateless class, as measured; a thread spawn per wide stage would
+/// add to it.
+const FLOW_ALLOC_BUDGET: u64 = 41;
 
 const SEED: u64 = 42;
 /// Attempts the availability-0.999 tier arms.

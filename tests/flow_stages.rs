@@ -7,7 +7,9 @@
 //! runs its wide stages in parallel, and a redeploy, which rebuilds the
 //! dispatch plans, starts the measurement over. A function that panics
 //! fails its flow with the same error inline or on a spawned thread,
-//! ends every span the flow opened and commits nothing of its stage.
+//! ends every span the flow opened (the failing stage marked with the
+//! error, its uncommitted healthy steps as aborted) and commits nothing
+//! of its stage.
 
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
@@ -206,4 +208,43 @@ fn a_panicking_lane_fails_the_flow_on_any_thread() {
         })
         .count();
     assert_eq!(panicked, 2, "each failed execute carries the panic");
+
+    // The healthy lane's step ran but never committed: its span says
+    // so instead of reading as a success, and the stage it failed in
+    // carries the error.
+    let steps = |id: &str| {
+        spans
+            .iter()
+            .filter(|s| s.name == "dataflow.step" && s.attrs["step"].as_str() == Some(id))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(steps("ok").len(), 2, "one healthy step span per call");
+    for step in steps("ok") {
+        assert_eq!(
+            step.attrs.get("aborted"),
+            Some(&vjson!(true)),
+            "the uncommitted healthy step is marked aborted: {:?}",
+            step.attrs
+        );
+    }
+    for step in steps("boom") {
+        assert!(
+            step.attrs.get("aborted").is_none(),
+            "the failed step carries its error"
+        );
+    }
+    let stages: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "dataflow.stage")
+        .collect();
+    assert_eq!(stages.len(), 2, "one stage span per failed call");
+    for stage in stages {
+        assert!(
+            stage.attrs["error"]
+                .as_str()
+                .is_some_and(|e| e.contains("panicked: lane exploded")),
+            "the failing stage carries the error: {:?}",
+            stage.attrs
+        );
+    }
 }

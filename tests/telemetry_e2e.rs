@@ -4,12 +4,15 @@
 //! `route`/`state.load`/`engine.execute`/`state.commit` under every
 //! step, correct parent links, non-decreasing timestamps — and the same
 //! platform built twice must export byte-identical JSONL. A flow that
-//! fails exports its spans too, the failing step marked.
+//! fails exports its spans too, the failing step marked. The image
+//! pipeline's Chrome export carries its fused shape and well-formed
+//! events.
 
 use oprc_core::invocation::{TaskError, TaskResult};
 use oprc_platform::embedded::EmbeddedPlatform;
 use oprc_telemetry::{Span, TelemetryConfig};
-use oprc_value::{vjson, Value};
+use oprc_value::{json, vjson, Value};
+use oprc_workloads::image::{generate_image, install};
 
 /// A fan-in dataflow: two parallel steps (`a`, `b`) feeding `merge`.
 const PACKAGE: &str = "
@@ -238,4 +241,52 @@ fn failed_flow_exports_its_spans_with_the_failing_step_marked() {
         "the failing step carries the error: {:?}",
         second[0].attrs
     );
+}
+
+#[test]
+fn image_pipeline_exports_a_fused_chrome_trace() {
+    // The paper's Listing-1 image package: upload a raster through a
+    // presigned PUT URL, then run `pipeline` (resize → detectObject).
+    let mut p = EmbeddedPlatform::new();
+    p.enable_telemetry(TelemetryConfig::default());
+    install(&mut p).expect("image package deploys");
+    let id = p
+        .create_object("LabelledImage", vjson!({}))
+        .expect("creates");
+    let url = p.upload_url(id, "image").expect("presigns");
+    p.upload(&url, generate_image(64, 32, 3), "image/raw")
+        .expect("uploads");
+    let out = p
+        .invoke(id, "pipeline", vec![vjson!({"width": 16, "height": 8})])
+        .expect("pipeline runs");
+    assert_eq!(out.output["objects"].as_i64(), Some(3), "detector output");
+
+    let doc = json::parse(&p.telemetry().export_chrome()).expect("chrome export parses");
+    let events = doc.as_array().expect("chrome export is an array");
+    let count = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e["name"].as_str() == Some(name))
+            .count()
+    };
+    // The flow compiler fuses the same-object chain into one unit under
+    // a single stage: one shard-lock hold, one state load, one commit,
+    // but still one engine.execute per step.
+    assert_eq!(count("invoke"), 1, "one root invoke span");
+    assert_eq!(
+        count("dataflow.stage"),
+        1,
+        "the fused pipeline is one stage"
+    );
+    assert_eq!(count("dataflow.fused"), 1, "one fused unit");
+    assert_eq!(count("engine.execute"), 2, "one execute per chained step");
+    for name in ["route", "state.load", "presign", "state.commit"] {
+        assert!(count(name) > 0, "no '{name}' spans in the trace");
+    }
+    for e in events {
+        assert!(
+            matches!(e["ph"].as_str(), Some("X" | "i")) && e["ts"].as_u64().is_some(),
+            "event without a complete/instant phase and a timestamp: {e}"
+        );
+    }
 }
